@@ -20,41 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_AREA_TOL = 1e-13
 _LAPLACIAN_MIN_R_OVER_H = 10.0
 DEFAULT_QUAD_POINTS_2D = 1000
 DEFAULT_QUAD_POINTS_3D = 64  # Gauss-Legendre nodes in cos(theta); phi gets 2x
-
-
-# ---------------------------------------------------------------------------
-# gamma via Lanczos (g = 7, 9 coefficients): one uniform code path accurate
-# to ~1e-15 relative for real arguments >= 0.5, which covers every n/2 here
-# ---------------------------------------------------------------------------
-
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma_half_line(x: float) -> float:
-    """Gamma(x) for real x >= 0.5 by the Lanczos approximation."""
-    if x < 0.5:
-        raise ValueError(f"argument must be >= 0.5, got {x}")
-    z = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
 
 
 def unit_sphere_area(n: int) -> float:
@@ -62,7 +30,7 @@ def unit_sphere_area(n: int) -> float:
     if int(n) != n or n < 2:
         raise ValueError(f"dimension must be an integer >= 2, got {n}")
     n = int(n)
-    return 2.0 * math.pi ** (n / 2.0) / gamma_half_line(n / 2.0)
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +123,16 @@ def field_magnitude(sol: PotentialSolution, r: float) -> float:
 
 
 def field_vector(sol: PotentialSolution, x: np.ndarray) -> np.ndarray:
-    """E(x) = q x / (O_{n-1} r^n), the radial field as a vector."""
+    """E(x) = q x / (O_{n-1} r^n), the radial field as a vector.
+
+    ``x`` is one point or an ``(..., n)`` array of points; the field comes
+    back in the same shape.
+    """
     x = np.asarray(x, dtype=float)
-    if x.shape != (sol.n,):
-        raise ValueError(f"point must be an {sol.n}-vector, got {x.shape}")
-    r = float(np.linalg.norm(x))
-    if not r > 0:
+    if x.ndim == 0 or x.shape[-1] != sol.n:
+        raise ValueError(f"points must be {sol.n}-vectors, got {x.shape}")
+    r = np.linalg.norm(x, axis=-1, keepdims=True)
+    if not np.all(r > 0):
         raise ValueError("the field is singular at the origin")
     return sol.q * x / (unit_sphere_area(sol.n) * r ** sol.n)
 
@@ -228,9 +200,9 @@ def flux_integral(sol: PotentialSolution, radius: float,
         if m < 4:
             raise ValueError(f"need at least 4 quadrature points, got {m}")
         theta = 2.0 * math.pi * np.arange(m) / m
-        nodes = radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        integrand = np.array([
-            float(np.dot(field_vector(sol, p), p / radius)) for p in nodes])
+        normals = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        integrand = np.sum(field_vector(sol, radius * normals) * normals,
+                           axis=-1)
         return float(np.sum(integrand) * (2.0 * math.pi * radius / m))
     if sol.n == 3:
         m = DEFAULT_QUAD_POINTS_3D if quad_points is None else int(quad_points)
@@ -239,12 +211,13 @@ def flux_integral(sol: PotentialSolution, radius: float,
         u, w = np.polynomial.legendre.leggauss(m)  # u = cos(theta)
         n_phi = 2 * m
         phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-        total = 0.0
-        for ui, wi in zip(u, w):
-            s = math.sqrt(max(0.0, 1.0 - ui * ui))
-            for ph in phi:
-                p = radius * np.array([s * math.cos(ph), s * math.sin(ph), ui])
-                total += float(np.dot(field_vector(sol, p), p / radius)) * wi
+        s = np.sqrt(np.maximum(0.0, 1.0 - u * u))[:, None]
+        normals = np.stack([s * np.cos(phi), s * np.sin(phi),
+                            np.broadcast_to(u[:, None], (m, n_phi))], axis=-1)
+        # (m, n_phi, 3): one row of nodes per Gauss-Legendre u
+        integrand = np.sum(field_vector(sol, radius * normals) * normals,
+                           axis=-1)
+        total = float(np.sum(w[:, None] * integrand))
         return total * radius ** 2 * (2.0 * math.pi / n_phi)
     raise ValueError(
         f"no quadrature for n = {sol.n}; use enclosed_charge(), the exact "

@@ -44,6 +44,11 @@ class Polynomial:
 
     def __call__(self, x):
         """Horner evaluation; works on scalars and numpy arrays."""
+        if isinstance(x, float):  # the root polishers' hot path
+            acc = 0.0
+            for c in reversed(self.coefficients):
+                acc = acc * x + c
+            return acc
         acc = np.zeros_like(np.asarray(x, dtype=float))
         for c in reversed(self.coefficients):
             acc = acc * x + c
@@ -141,12 +146,15 @@ def real_roots(p: Polynomial, bracket: tuple[float, float],
 
     Sign changes on a fine scan are bisected and Newton-polished.  Roots of
     even multiplicity never change sign, so critical points of p (roots of p')
-    where |p| falls below tol * coefficient scale are added as well.
+    where |p| falls below tol * coefficient scale are added as well.  Two
+    simple roots inside one scan step leave no sign change on the scan, but
+    p is monotone between consecutive critical points, so each such interval
+    whose ends differ in sign and that holds no root yet gets one bisected.
 
     Near a multiple root the polynomial is flat and rounding noise limits
     how precisely any candidate can be located, so candidates closer than
     1e-4 are treated as one root (the one with the smallest residual wins).
-    Genuinely distinct roots closer than that are reported merged.
+    Distinct roots closer than that are still reported as one.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
@@ -158,24 +166,26 @@ def real_roots(p: Polynomial, bracket: tuple[float, float],
     scale = p.coefficient_scale()
     grid = np.linspace(lo, hi, scan_points)
     vals = p(grid)
+    zero = vals == 0.0
+    change = ~zero[:-1] & ((vals[:-1] < 0.0) != (vals[1:] < 0.0))
 
-    candidates: list[float] = []
-    for i in range(scan_points - 1):
-        a, b = float(vals[i]), float(vals[i + 1])
-        if a == 0.0:
-            candidates.append(float(grid[i]))
-        elif (a < 0.0) != (b < 0.0):
-            root = _bisect(p, float(grid[i]), float(grid[i + 1]))
-            candidates.append(_newton_polish(p, dp, root))
-    if float(vals[-1]) == 0.0:
-        candidates.append(float(grid[-1]))
+    candidates = grid[zero].tolist()
+    for a, b in zip(grid[:-1][change].tolist(), grid[1:][change].tolist()):
+        candidates.append(_newton_polish(p, dp, _bisect(p, a, b)))
 
-    # even-multiplicity roots hide at critical points
     if dp.degree >= 1:
-        for cp in real_roots(dp, bracket, tol, scan_points):
-            x = cp.location
-            if abs(p(x)) <= tol * max(scale, 1.0):
-                candidates.append(x)
+        crit = [cp.location
+                for cp in real_roots(dp, bracket, tol, scan_points)]
+        # even-multiplicity roots hide at critical points
+        candidates.extend(x for x in crit
+                          if abs(p(x)) <= tol * max(scale, 1.0))
+        # close pairs of simple roots hide between critical points
+        ends = [lo, *(x for x in crit if lo < x < hi), hi]
+        for a, b in zip(ends[:-1], ends[1:]):
+            fa, fb = p(a), p(b)
+            if (fa != 0.0 and fb != 0.0 and (fa < 0.0) != (fb < 0.0)
+                    and not any(a <= c <= b for c in candidates)):
+                candidates.append(_newton_polish(p, dp, _bisect(p, a, b)))
 
     chain = _derivative_chain(p)
     roots: list[PolyRoot] = []

@@ -145,6 +145,21 @@ def test_potential_cli_example(tmp_path):
     assert shift["measured"] == pytest.approx(-1.0, abs=1e-12)
 
 
+def test_potential_with_zero_charge(tmp_path):
+    # relative errors fall back to absolute ones when the reference is 0
+    assert main(["potential", "-q", "0", "--out", str(tmp_path)]) == 0
+    manifest = _read_manifest(tmp_path / "manifest_potential.json")
+    names = [r["name"] for r in manifest["reports"]]
+    assert names == [
+        "potential.sphere_area_3d", "potential.sphere_area_4d",
+        "potential.scaling_identity", "potential.log_anomaly",
+        "potential.gauge_shift", "potential.reference_moves",
+        "potential.field_scaling", "potential.flux_2d", "potential.flux_3d",
+        "potential.flux_identity", "potential.laplacian_convergence",
+        "potential.laplacian_residual_small"]
+    assert all(r["pass"] for r in manifest["reports"])
+
+
 def test_potential_dimension_flag(tmp_path):
     assert main(["potential", "-n", "5", "--out", str(tmp_path)]) == 0
     manifest = _read_manifest(tmp_path / "manifest_potential.json")

@@ -2,7 +2,6 @@
 
 Reference values:
   unit sphere areas  O_1 = 2 pi, O_2 = 4 pi, O_3 = 2 pi^2, O_4 = 8 pi^2 / 3
-  gamma function     checked against math.gamma on the half line
   Gauss law          flux through any centered sphere equals q
 """
 
@@ -19,29 +18,13 @@ from ssb_lab.electrostatics import (PointChargeProblem, PotentialSolution,
                                     ScalingTransform, apply_scaling,
                                     enclosed_charge, field_magnitude,
                                     field_vector, flux_integral,
-                                    gamma_half_line, laplacian_residual,
-                                    potential, unit_sphere_area)
+                                    laplacian_residual, potential,
+                                    unit_sphere_area)
 
 
 # ---------------------------------------------------------------------------
-# gamma and sphere areas
+# sphere areas
 # ---------------------------------------------------------------------------
-
-def test_gamma_matches_stdlib_on_the_half_line():
-    for x in np.linspace(0.5, 20.0, 79):
-        assert gamma_half_line(float(x)) == pytest.approx(math.gamma(x),
-                                                          rel=1e-13)
-
-
-def test_gamma_at_one_half():
-    assert gamma_half_line(0.5) == pytest.approx(math.sqrt(math.pi),
-                                                 rel=1e-14)
-
-
-def test_gamma_below_half_rejected():
-    with pytest.raises(ValueError):
-        gamma_half_line(0.3)
-
 
 @pytest.mark.parametrize("n,area", [
     (2, 2.0 * math.pi),
@@ -139,6 +122,32 @@ def test_field_vector_points_inward_for_negative_charge():
     assert vec[0] < 0.0
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_batched_field_vector_matches_row_by_row(n):
+    sol = PotentialSolution(n=n, q=-1.5)
+    points = np.random.default_rng(n).normal(size=(7, n))
+    batched = field_vector(sol, points)
+    assert batched.shape == points.shape
+    np.testing.assert_array_equal(
+        batched, np.array([field_vector(sol, p) for p in points]))
+    np.testing.assert_array_equal(field_vector(sol, points.reshape(7, 1, n)),
+                                  batched.reshape(7, 1, n))
+
+
+def test_field_vector_rejects_a_wrong_last_axis():
+    sol = PotentialSolution(n=3, q=1.0)
+    with pytest.raises(ValueError, match="3-vectors"):
+        field_vector(sol, np.ones((4, 2)))
+    with pytest.raises(ValueError, match="3-vectors"):
+        field_vector(sol, 1.0)
+
+
+def test_field_vector_rejects_the_origin_anywhere_in_a_batch():
+    sol = PotentialSolution(n=2, q=1.0)
+    with pytest.raises(ValueError, match="singular"):
+        field_vector(sol, np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 2.0]]))
+
+
 # ---------------------------------------------------------------------------
 # scaling
 # ---------------------------------------------------------------------------
@@ -204,6 +213,23 @@ def test_flux_quad_points_override():
     sol = PotentialSolution(n=3, q=1.0)
     assert flux_integral(sol, 1.0, quad_points=16) == pytest.approx(1.0,
                                                                     abs=1e-4)
+
+
+_CHARGES = st.floats(-5.0, 5.0).filter(lambda q: q != 0.0)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_CHARGES, st.floats(0.1, 10.0))
+def test_flux_2d_recovers_any_charge(q, radius):
+    sol = PotentialSolution(n=2, q=q)
+    assert flux_integral(sol, radius) == pytest.approx(q, abs=1e-9)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_CHARGES, st.floats(0.1, 10.0))
+def test_flux_3d_recovers_any_charge(q, radius):
+    sol = PotentialSolution(n=3, q=q)
+    assert flux_integral(sol, radius) == pytest.approx(q, abs=1e-6)
 
 
 def test_flux_in_other_dimensions_points_to_the_identity():

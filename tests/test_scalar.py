@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ssb_lab.scalar import (DOUBLE_WELL, SQUARE_POLY, CriticalKind,
                             Polynomial, SignFlipProblem, critical_points,
@@ -68,6 +70,14 @@ def test_horner_matches_numpy_on_random_polynomials():
         xs = rng.uniform(-3.0, 3.0, size=11)
         np.testing.assert_allclose(p(xs), np.polyval(coeffs[::-1], xs),
                                    rtol=1e-12, atol=1e-12)
+
+
+def test_float_horner_matches_the_array_path_bit_for_bit():
+    p = Polynomial((0.3, -1.7, 0.0, 2.9, -0.45))
+    for x in np.random.default_rng(5).uniform(-4.0, 4.0, size=50).tolist():
+        value = p(x)
+        assert type(value) is float
+        assert value == p(np.array(x))
 
 
 def test_derivative_coefficients():
@@ -155,6 +165,52 @@ def test_random_simple_roots_recovered():
         assert [r.multiplicity for r in found] == [1] * k
         np.testing.assert_allclose([r.location for r in found], roots,
                                    atol=1e-8)
+
+
+def _even_poly(radii, zero=False):
+    """x^(2 zero) * prod (x^2 - r^2), built in y = x^2 so that every odd
+    coefficient is exactly 0."""
+    in_y = np.polynomial.polynomial.polyfromroots([r * r for r in radii])
+    coeffs = [0.0] * (2 * len(in_y) - 1)
+    coeffs[::2] = in_y.tolist()
+    return Polynomial(tuple([0.0, 0.0, *coeffs] if zero else coeffs))
+
+
+def test_close_root_pair_inside_one_scan_step():
+    # 1.8264 and 1.8345 are 0.008 apart; the +-29.6 bracket scans in steps
+    # of 0.0148, so the scan may see no sign change between them
+    radii = [1.8264, 1.8345, 1.5652]
+    p = _even_poly(radii)
+    bound = p.cauchy_root_bound() + 1.0
+    assert 2.0 * bound / 4000 > 0.0081
+    roots = real_roots(p, (-bound, bound))
+    expected = sorted([-r for r in radii] + radii)
+    assert [r.multiplicity for r in roots] == [1] * 6
+    np.testing.assert_allclose([r.location for r in roots], expected,
+                               atol=1e-8)
+
+
+@st.composite
+def _spaced_radii(draw):
+    radii = draw(st.lists(st.floats(0.1, 2.0), min_size=1, max_size=3))
+    gap = draw(st.none() | st.floats(1e-3, 0.02))
+    if gap is not None:  # a partner that can share its scan step
+        r = radii[0]
+        radii.append(r + gap if r + gap <= 2.0 else r - gap)
+    assume(all(abs(a - b) >= 1e-3
+               for i, a in enumerate(radii) for b in radii[:i]))
+    return radii
+
+
+@settings(derandomize=True, deadline=None)
+@given(_spaced_radii(), st.booleans())
+def test_even_polynomial_roots_recovered(radii, zero):
+    p = _even_poly(radii, zero)
+    bound = p.cauchy_root_bound() + 1.0
+    expected = sorted([-r for r in radii] + radii + ([0.0] if zero else []))
+    found = [r.location for r in real_roots(p, (-bound, bound))]
+    assert len(found) == len(expected)
+    np.testing.assert_allclose(found, expected, atol=1e-8)
 
 
 def test_poly_with_no_real_roots():
