@@ -15,7 +15,10 @@ plot-data files into the output directory (``--out``, else the SSB_LAB_OUT
 environment variable, else ./ssb_lab_out).  Settings resolve in the order
 command line flags > --config JSON file > built-in defaults.  The process
 exits 0 if every check passed, 1 if any failed (the manifest is still
-written), and 2 on usage errors.
+written), and 2 on usage errors: bad flags, or settings no run can give a
+defined result for, such as a non-positive square side, a terminals file
+that does not hold 3 or 4 distinct finite points, or a Maxwell grid too
+coarse for two refinement levels.  A usage error prints one line to stderr.
 """
 
 from __future__ import annotations
@@ -44,16 +47,23 @@ DEFAULT_OUT = "ssb_lab_out"
 ENV_OUT = "SSB_LAB_OUT"
 
 DEFAULTS: dict[str, dict[str, Any]] = {
-    "steiner": {"side": 1.0, "terminals": None, "seed": 0, "restarts": 16},
+    "steiner": {"side": 1.0, "terminals": None, "seed": 0},
     "scalar": {},
     "ode": {"trials": 1000, "seed": 0},
     "maxwell": {"grid": 32, "k": [1, 2, 2]},
     "potential": {"n": 3, "q": 1.0, "mu": 1.0, "lam": 2.0},
-    "classify": {"seed": 0, "restarts": 16},
+    "classify": {"seed": 0},
 }
 
 SUBCOMMANDS = ("steiner", "scalar", "ode", "maxwell", "potential",
                "classify", "all")
+# maxwell compares residuals on grids N/4, N/2 and N (each at least 4 points
+# per axis); N >= 5 gives the two distinct levels a convergence ratio needs
+MIN_MAXWELL_GRID = 5
+
+
+class UsageError(Exception):
+    """Input that no run can give a defined result for; ``main`` exits 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -66,15 +76,13 @@ def _emit(out_dir: str, name: str, writer, *args) -> str:
 
 
 def _run_steiner(cfg: dict[str, Any], out_dir: str) -> tuple[list, list[str]]:
-    settings = st.OptimizerSettings(seed=int(cfg["seed"]),
-                                    restarts=int(cfg["restarts"]))
     custom = cfg.get("terminals") is not None
     if custom:
         terminals = np.asarray(cfg["terminals"], dtype=float)
     else:
         terminals = st.square_terminals(float(cfg["side"]))
-    nets = st.optimize_all(terminals, settings)
-    winners = st.select_minima(nets, settings.degeneracy_tol)
+    nets = st.optimize_all(terminals)
+    winners = st.select_minima(nets)
     best = min(net.total_length for net in nets)
 
     checks = []
@@ -134,14 +142,14 @@ def _run_scalar(cfg: dict[str, Any], out_dir: str) -> tuple[list, list[str]]:
     xs = sc.z2_solutions(sc.SignFlipProblem.SQUARE_ROOTS)
     err = max(abs(a - b) for a, b in zip(sorted(xs), (-1.0, 1.0)))
     checks.append(make_check("scalar.square_roots", "scalar.square.roots",
-                             err if len(xs) == 2 else math.inf, 0.0, 1e-10))
+                             err if len(xs) == 2 else None, 0.0, 1e-10))
 
     bound = sc.DOUBLE_WELL.cauchy_root_bound() + 1.0
     roots = sc.real_roots(sc.DOUBLE_WELL, (-bound, bound))
     locs = [r.location for r in roots]
     err = max(abs(a - b) for a, b in zip(locs, (-1.0, 0.0, 1.0)))
     checks.append(make_check("scalar.quartic_roots", "scalar.quartic.roots",
-                             err if len(locs) == 3 else math.inf, 0.0, 1e-10))
+                             err if len(locs) == 3 else None, 0.0, 1e-10))
     mult = [r.multiplicity for r in roots]
     checks.append(make_check("scalar.quartic_root_multiplicity",
                              "scalar.quartic.double_root", mult, [1, 2, 1]))
@@ -150,11 +158,11 @@ def _run_scalar(cfg: dict[str, Any], out_dir: str) -> tuple[list, list[str]]:
     err = max(abs(a - b) for a, b in zip(sorted(minima),
                                          (-inv_sqrt2, inv_sqrt2)))
     checks.append(make_check("scalar.quartic_minima", "scalar.quartic.minima",
-                             err if len(minima) == 2 else math.inf,
+                             err if len(minima) == 2 else None,
                              0.0, 1e-10))
     values = [cp.value for cp in sc.critical_points(sc.DOUBLE_WELL)
               if cp.kind is sc.CriticalKind.MINIMUM]
-    err = max(abs(v + 0.25) for v in values) if values else math.inf
+    err = max(abs(v + 0.25) for v in values) if values else None
     checks.append(make_check("scalar.quartic_minimum_value",
                              "scalar.quartic.well_depth", err, 0.0, 1e-12))
 
@@ -169,7 +177,7 @@ def _run_scalar(cfg: dict[str, Any], out_dir: str) -> tuple[list, list[str]]:
         if problem is sc.SignFlipProblem.QUARTIC_ROOTS:
             xs = sc.z2_solutions(problem)
             idx = verdict.invariant_solution
-            witness = xs[idx] if idx is not None else math.inf
+            witness = xs[idx] if idx is not None else None
             checks.append(make_check("scalar.symmetric_witness",
                                      "scalar.quartic.invariant_root",
                                      witness, 0.0, 1e-9))
@@ -376,9 +384,7 @@ def _run_potential(cfg: dict[str, Any], out_dir: str) -> tuple[list, list[str]]:
 def _run_classify(cfg: dict[str, Any], out_dir: str) -> tuple[list, list[str]]:
     checks = []
     d4 = sym.dihedral_group(4)
-    settings = st.OptimizerSettings(seed=int(cfg["seed"]),
-                                    restarts=int(cfg["restarts"]))
-    winners = st.solve_steiner(st.square_terminals(1.0), settings)
+    winners = st.solve_steiner(st.square_terminals(1.0))
     verdict = sym.classify_ssb(d4, [w.config() for w in winners], tol=1e-8)
     checks.append(make_check("classify.steiner_square",
                              "classify.square_networks",
@@ -424,6 +430,7 @@ def run_subcommand(name: str, config: dict[str, Any] | None = None,
         artifacts: list[str] = []
         for sub in SUBCOMMANDS[:-1]:
             sub_cfg = resolve_config(sub, config or {})
+            _validate_config(sub, sub_cfg)
             merged_cfg[sub] = sub_cfg
             sub_checks, sub_artifacts = _RUNNERS[sub](sub_cfg, out_dir)
             checks.extend(sub_checks)
@@ -435,6 +442,7 @@ def run_subcommand(name: str, config: dict[str, Any] | None = None,
     if name not in _RUNNERS:
         raise ValueError(f"unknown subcommand {name!r}")
     cfg = resolve_config(name, config or {})
+    _validate_config(name, cfg)
     os.makedirs(out_dir, exist_ok=True)
     checks, artifacts = _RUNNERS[name](cfg, out_dir)
     return RunManifest(subcommand=name, config=cfg,
@@ -450,6 +458,56 @@ def resolve_config(name: str, overrides: dict[str, Any]) -> dict[str, Any]:
         if key in cfg and value is not None:
             cfg[key] = value
     return cfg
+
+
+def _validate_config(name: str, cfg: dict[str, Any]) -> None:
+    """Raise UsageError for a resolved config no run can handle."""
+    for key, value in cfg.items():
+        # the manifest records the config, and strict JSON has no NaN
+        if isinstance(value, float) and not math.isfinite(value):
+            raise UsageError(f"{key} must be finite, got {value!r}")
+    if name == "steiner":
+        side = cfg["side"]
+        if not (isinstance(side, (int, float))
+                and not isinstance(side, bool) and side > 0):
+            raise UsageError(f"square side must be a positive number, "
+                             f"got {side!r}")
+        if cfg["terminals"] is not None:
+            _check_terminals(cfg["terminals"])
+    elif name == "maxwell":
+        grid = cfg["grid"]
+        if not (isinstance(grid, int) and not isinstance(grid, bool)
+                and grid >= MIN_MAXWELL_GRID):
+            raise UsageError(f"grid must be an integer >= {MIN_MAXWELL_GRID}"
+                             f", got {grid!r}")
+
+
+def _check_terminals(value: Any) -> None:
+    try:
+        pts = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        pts = None
+    if pts is None or pts.ndim != 2 or pts.shape[1] != 2:
+        raise UsageError("terminals must be a JSON list of [x, y] pairs")
+    if len(pts) not in (3, 4):
+        raise UsageError(f"need 3 or 4 terminals, got {len(pts)}")
+    if not np.isfinite(pts).all():
+        raise UsageError("terminal coordinates must be finite")
+    try:
+        sym.PointConfig(pts)
+    except ValueError:
+        raise UsageError("terminals must be distinct points") from None
+
+
+def _load_json(path: str, what: str) -> Any:
+    try:
+        with open(path) as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise UsageError(f"cannot read {what} {path!r}: "
+                         f"{exc.strerror}") from None
+    except ValueError as exc:  # malformed JSON or text encoding
+        raise UsageError(f"{what} {path!r} is not JSON: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +573,8 @@ def _overrides_from_args(args: argparse.Namespace) -> dict[str, Any]:
     if getattr(args, "square", None) is not None:
         overrides["side"] = args.square
     if getattr(args, "terminals", None) is not None:
-        with open(args.terminals) as handle:
-            overrides["terminals"] = json.load(handle)
+        overrides["terminals"] = _load_json(args.terminals,
+                                            "terminals file")
     if getattr(args, "grid", None) is not None:
         overrides["grid"] = args.grid
     if getattr(args, "dim", None) is not None:
@@ -530,21 +588,25 @@ def _overrides_from_args(args: argparse.Namespace) -> dict[str, Any]:
     return overrides
 
 
+def _resolve_and_run(args: argparse.Namespace, out_dir: str) -> RunManifest:
+    config: dict[str, Any] = {}
+    if args.config is not None:
+        loaded = _load_json(args.config, "config file")
+        if not isinstance(loaded, dict):
+            raise UsageError("config file must hold a JSON object")
+        config.update(loaded)
+    config.update(_overrides_from_args(args))
+    return run_subcommand(args.subcommand, config, out_dir)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     out_dir = args.out or os.environ.get(ENV_OUT) or DEFAULT_OUT
-
-    config: dict[str, Any] = {}
-    if args.config is not None:
-        with open(args.config) as handle:
-            loaded = json.load(handle)
-        if not isinstance(loaded, dict):
-            print("config file must hold a JSON object", file=sys.stderr)
-            return 2
-        config.update(loaded)
-    config.update(_overrides_from_args(args))
-
-    manifest = run_subcommand(args.subcommand, config, out_dir)
+    try:
+        manifest = _resolve_and_run(args, out_dir)
+    except UsageError as exc:
+        print(f"ssb-lab {args.subcommand}: error: {exc}", file=sys.stderr)
+        return 2
     stamp = datetime.now(timezone.utc).isoformat()
     text = manifest_json(manifest, generated_at=stamp)
     manifest_path = os.path.join(out_dir,

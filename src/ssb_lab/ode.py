@@ -38,15 +38,6 @@ class Translation:
         return translate_solution(c, self.a)
 
 
-def ode_residual(c: float, x: float) -> float:
-    """f'(x) - f(x) for f = c * e^x, both sides evaluated analytically."""
-    if abs(x) > _X_LIMIT:
-        raise ValueError(f"|x| must be <= {_X_LIMIT}, got {x}")
-    fx = c * math.exp(x)
-    dfx = c * math.exp(x)
-    return dfx - fx
-
-
 def sampled_ode_residual(g: Callable[[float], float], x: float,
                          h: float = 1e-3) -> float:
     """g'(x) - g(x) with the derivative taken by central difference."""

@@ -2,6 +2,8 @@
 
 A check compares a measured value against an expected one: numeric pairs
 pass when |measured - expected| <= tolerance, everything else by equality.
+A measurement that could not be made, or came out NaN or infinite, is
+recorded as null and fails, so manifests are strict JSON.
 A manifest bundles one run's resolved configuration and its checks into a
 JSON document that is byte-identical across reruns with the same settings
 (the producer's timestamp lives in a single separate ``generated_at`` field
@@ -12,6 +14,7 @@ with 17-significant-digit decimals so rereads round-trip exactly.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -46,10 +49,18 @@ class CheckReport:
 
 def make_check(name: str, anchor: str, measured: Any, expected: Any,
                tolerance: float | None = None) -> CheckReport:
-    """Build a check, deciding pass/fail by the scalar or equality rule."""
+    """Build a check, deciding pass/fail by the scalar or equality rule.
+
+    ``measured=None`` marks a measurement that could not be made; it fails
+    and keeps its tolerance.  Non-finite numbers are stored as None.
+    """
     numeric = (isinstance(measured, Real) and not isinstance(measured, bool)
                and isinstance(expected, Real) and not isinstance(expected, bool))
-    if numeric and tolerance is not None:
+    if numeric and not math.isfinite(measured):
+        measured = None
+    if measured is None:
+        passed = False
+    elif numeric and tolerance is not None:
         passed = abs(float(measured) - float(expected)) <= tolerance
         measured = float(measured)
         expected = float(expected)
@@ -93,7 +104,7 @@ def manifest_json(manifest: RunManifest,
     doc = manifest.to_dict()
     if generated_at is not None:
         doc["generated_at"] = generated_at
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def write_text_atomic(path: str, text: str) -> None:

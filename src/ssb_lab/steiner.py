@@ -1,18 +1,33 @@
 """Shortest connecting networks (Steiner minimal trees) for 3 or 4 terminals.
 
 For a fixed tree topology the total edge length is a convex function of the
-free junction coordinates, so every candidate topology is minimized
-independently and the global optima are collected afterwards.  Candidates are
-the full Steiner topologies (every junction of degree 3; for four terminals
-these are the three ways of pairing the terminals) plus all spanning trees on
-the terminals alone.  Junction coordinates are found by a damped fixed-point
-iteration that generalizes Weiszfeld's geometric-median update: each junction
-moves to the inverse-distance-weighted average of its neighbours.  When an
-edge collapses, the junction is merged onto its neighbour and the degenerate
-network re-optimized; that is how the square's X-shaped crossing (total
-length sqrt 8) arises from the diagonal pairing, losing to the two optimal
-networks of length 1 + sqrt 3 whose middle edge is vertical or horizontal.
-A quarter turn (90 degrees) about the square's center exchanges those two.
+free junction coordinates, so every candidate topology is minimized on its
+own and the global optima are collected afterwards.  Candidates are the full
+Steiner topologies (every junction of degree 3; for four terminals these are
+the three ways of pairing the terminals) plus all spanning trees on the
+terminals alone.  At this size each topology's minimum has a closed form
+(Gilbert & Pollak 1968, SIAM J. Appl. Math. 16:1):
+
+- three terminals: the Fermat-Torricelli point, where the three edges meet
+  at 120 degrees, or the vertex whose angle is at least 120 degrees;
+- four terminals paired {a1, a2 | b1, b2}: the full tree of Melzak's
+  construction (Melzak 1961, Canad. Math. Bull. 4:143).  Each pair is
+  replaced by the apex of an equilateral triangle on it, the two apexes are
+  joined, and each junction is where that line meets the circle through its
+  pair and apex.  A stationary point of a convex function is its global
+  minimum, so a full tree that meets the 120-degree condition is optimal.
+  Otherwise a junction sits on a vertex, and the minimum is the shortest of:
+  both junctions at the 4-point geometric median (the crossing of the
+  diagonals of a convex quadrilateral, else the terminal inside the triangle
+  of the other three), or one junction on a terminal of its own pair and
+  the other at the Fermat point of the remaining three vertices.
+
+A junction that lands on a vertex is contracted onto it and the topology is
+marked ``merged``.  That is how the square's X-shaped crossing (total length
+sqrt 8, one degree-4 junction at the centre) arises from the diagonal
+pairing, losing to the two optimal networks of length 1 + sqrt 3 whose
+middle edge is vertical or horizontal.  A quarter turn (90 degrees) about
+the square's center exchanges those two.
 """
 
 from __future__ import annotations
@@ -20,6 +35,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -27,20 +43,16 @@ from .symmetry import FiniteGroup, PointConfig, config_equal, stabilizer
 
 _ZERO_EDGE_TOL = 1e-14
 _DEDUPE_MATCH_TOL = 1e-8
+# a junction closer than this to another vertex counts as sitting on it; it
+# is larger than symmetry.MATCH_TOL, below which points count as duplicates
+_MERGE_TOL = 1e-9
+FERMAT_TOL = 1e-9
+DEGENERACY_TOL = 1e-9
+_HALF_SQRT3 = math.sqrt(3.0) / 2.0
 
-
-@dataclass(frozen=True)
-class OptimizerSettings:
-    max_iters: int = 20000
-    move_tol: float = 1e-12
-    merge_tol: float = 1e-9
-    degeneracy_tol: float = 1e-9
-    restarts: int = 16
-    seed: int = 0
-    damping: float = 1.0
-
-
-DEFAULT_SETTINGS = OptimizerSettings()
+Point = tuple[float, float]
+# where a candidate puts a junction: a point, or the id of a vertex it sits on
+Placement = Point | int
 
 
 # ---------------------------------------------------------------------------
@@ -52,8 +64,8 @@ class SteinerTopology:
     """A tree on terminals 0..n_terminals-1 plus junction vertices above.
 
     Enumerated topologies are strict: every junction has degree exactly 3.
-    Topologies produced by merge handling carry ``merged=True`` and may hold
-    one degree-4 junction (two collapsed degree-3 junctions).
+    Topologies of contracted networks carry ``merged=True`` and may hold
+    one degree-4 junction (two coincident degree-3 junctions).
     """
 
     n_terminals: int
@@ -189,9 +201,9 @@ class SteinerNetwork:
         stein.flags.writeable = False
         object.__setattr__(self, "terminals", term)
         object.__setattr__(self, "steiner_points", stein)
-        recomputed = sum(
-            float(np.linalg.norm(self.points[i] - self.points[j]))
-            for i, j in self.topology.edges)
+        pts = self.points
+        recomputed = sum(float(np.linalg.norm(pts[i] - pts[j]))
+                         for i, j in self.topology.edges)
         if abs(recomputed - self.total_length) > 1e-12 * max(1.0, recomputed):
             raise ValueError(f"stored length {self.total_length!r} does not "
                              f"match edges ({recomputed!r})")
@@ -210,16 +222,6 @@ class SteinerNetwork:
                 for i, j in self.topology.edges]
 
 
-class SteinerConvergenceError(RuntimeError):
-    """Raised when the iteration stalls; carries the best iterate found."""
-
-    def __init__(self, message: str, network: SteinerNetwork | None,
-                 max_move: float) -> None:
-        super().__init__(message)
-        self.network = network
-        self.max_move = max_move
-
-
 @dataclass(frozen=True)
 class FermatCheck:
     """120-degree condition report: applicable only at degree-3 junctions."""
@@ -230,188 +232,27 @@ class FermatCheck:
 
 
 # ---------------------------------------------------------------------------
-# optimization core (plain floats: the problems are tiny and the inner loop
-# runs thousands of times)
+# closed-form minima (plain floats: the problems are tiny)
 # ---------------------------------------------------------------------------
 
-def _positions(topology: SteinerTopology, terminals: list[tuple[float, float]],
-               steiner: list[tuple[float, float]], v: int) -> tuple[float, float]:
-    m = topology.n_terminals
-    return terminals[v] if v < m else steiner[v - m]
+def _total_length(edges: tuple[tuple[int, int], ...],
+                  points: list[Point]) -> float:
+    return sum(math.hypot(points[i][0] - points[j][0],
+                          points[i][1] - points[j][1]) for i, j in edges)
 
 
-def _total_length(topology: SteinerTopology,
-                  terminals: list[tuple[float, float]],
-                  steiner: list[tuple[float, float]]) -> float:
-    total = 0.0
-    for i, j in topology.edges:
-        xi, yi = _positions(topology, terminals, steiner, i)
-        xj, yj = _positions(topology, terminals, steiner, j)
-        total += math.hypot(xi - xj, yi - yj)
-    return total
-
-
-def _contract(topology: SteinerTopology, steiner: list[tuple[float, float]],
-              junction: int, onto: int) -> tuple[SteinerTopology,
-                                                 list[tuple[float, float]]]:
-    """Merge a junction vertex onto an adjacent vertex, reindexing."""
-    m = topology.n_terminals
-
-    def new_id(v: int) -> int:
-        return v - 1 if v > junction else v
-
-    edges = set()
-    for i, j in topology.edges:
-        i2 = onto if i == junction else i
-        j2 = onto if j == junction else j
-        if i2 == j2:
-            continue
-        edges.add((min(new_id(i2), new_id(j2)), max(new_id(i2), new_id(j2))))
-    new_steiner = [p for k, p in enumerate(steiner) if k != junction - m]
-    new_topology = SteinerTopology(m, topology.n_steiner - 1,
-                                   tuple(sorted(edges)), merged=True)
-    return new_topology, new_steiner
-
-
-def _gradient_step(topology: SteinerTopology,
-                   terminals: list[tuple[float, float]],
-                   steiner: list[tuple[float, float]]) -> float:
-    """One backtracking subgradient step on all junctions; returns movement."""
-    m = topology.n_terminals
-    grads = []
-    for k, (x, y) in enumerate(steiner):
-        gx = gy = 0.0
-        for v in topology.neighbours(m + k):
-            qx, qy = _positions(topology, terminals, steiner, v)
-            d = math.hypot(x - qx, y - qy)
-            if d > _ZERO_EDGE_TOL:
-                gx += (x - qx) / d
-                gy += (y - qy) / d
-        grads.append((gx, gy))
-    base = _total_length(topology, terminals, steiner)
-    step = 0.1
-    for _ in range(60):
-        trial = [(x - step * gx, y - step * gy)
-                 for (x, y), (gx, gy) in zip(steiner, grads)]
-        if _total_length(topology, terminals, trial) < base:
-            move = max(math.hypot(step * gx, step * gy) for gx, gy in grads)
-            steiner[:] = trial
-            return move
-        step *= 0.5
-    return 0.0
-
-
-def _weiszfeld_sweep(topology: SteinerTopology,
-                     terminals: list[tuple[float, float]],
-                     steiner: list[tuple[float, float]],
-                     adjacency: list[list[int]],
-                     settings: OptimizerSettings
-                     ) -> tuple[tuple[int, int] | None, float]:
-    """One Gauss-Seidel sweep of Weiszfeld updates over all junctions.
-
-    Returns (edge to merge, movement).  A merge is signalled as soon as a
-    junction sits within ``merge_tol`` of one of its neighbours, before any
-    inverse distance is formed.
-    """
-    m = topology.n_terminals
-    max_move = 0.0
-    for k, (x, y) in enumerate(steiner):
-        wsum = wx = wy = 0.0
-        for v in adjacency[k]:
-            qx, qy = _positions(topology, terminals, steiner, v)
-            d = math.hypot(x - qx, y - qy)
-            if d < settings.merge_tol:
-                return (m + k, v), max_move
-            w = 1.0 / d
-            wsum += w
-            wx += w * qx
-            wy += w * qy
-        nx, ny = wx / wsum, wy / wsum
-        if settings.damping != 1.0:
-            nx = x + settings.damping * (nx - x)
-            ny = y + settings.damping * (ny - y)
-        move = math.hypot(nx - x, ny - y)
-        if move > max_move:
-            max_move = move
-        steiner[k] = (nx, ny)
-    return None, max_move
-
-
-def _short_junction_edge(topology: SteinerTopology,
-                         terminals: list[tuple[float, float]],
-                         steiner: list[tuple[float, float]],
-                         tol: float) -> tuple[int, int] | None:
-    """An edge of length < tol with at least one junction endpoint,
-    junction listed first; None if there is none."""
-    m = topology.n_terminals
-    for i, j in topology.edges:
-        if i < m and j < m:
-            continue
-        xi, yi = _positions(topology, terminals, steiner, i)
-        xj, yj = _positions(topology, terminals, steiner, j)
-        if math.hypot(xi - xj, yi - yj) < tol:
-            return (j, i) if j >= m else (i, j)
-    return None
-
-
-def _optimize_embedded(topology: SteinerTopology,
-                       terminals: list[tuple[float, float]],
-                       steiner: list[tuple[float, float]],
-                       settings: OptimizerSettings
-                       ) -> tuple[SteinerTopology, list[tuple[float, float]]]:
-    """Damped fixed-point iteration with merge handling.
-
-    The first half of the iteration budget runs Weiszfeld sweeps; if those
-    have not converged, the second half falls back to backtracking
-    subgradient descent.  Whenever an edge collapses below ``merge_tol`` the
-    junction is contracted onto its neighbour and optimization continues on
-    the merged topology.  Returns the final topology and junction positions;
-    raises SteinerConvergenceError when the budget runs out.
-    """
-    m = topology.n_terminals
-    adjacency = [topology.neighbours(m + k) for k in range(len(steiner))]
-    iters_left = settings.max_iters
-    fallback_after = settings.max_iters // 2
-    last_move = math.inf
-    while steiner and iters_left > 0:
-        iters_left -= 1
-        if iters_left > fallback_after:
-            merge_edge, last_move = _weiszfeld_sweep(
-                topology, terminals, steiner, adjacency, settings)
-        else:
-            last_move = _gradient_step(topology, terminals, steiner)
-            merge_edge = _short_junction_edge(topology, terminals, steiner,
-                                              settings.merge_tol)
-        if merge_edge is not None:
-            junction, onto = merge_edge
-            if onto >= m and onto > junction:  # contract higher id onto lower
-                junction, onto = onto, junction
-            topology, steiner = _contract(topology, steiner, junction, onto)
-            adjacency = [topology.neighbours(m + k)
-                         for k in range(len(steiner))]
-            continue
-        if last_move < settings.move_tol:
-            return topology, steiner
-    if not steiner:
-        return topology, steiner
-    raise SteinerConvergenceError(
-        f"no convergence after {settings.max_iters} iterations "
-        f"(last movement {last_move:.3e})",
-        _assemble(topology, terminals, steiner), last_move)
-
-
-def _fermat_residual(topology: SteinerTopology,
-                     terminals: list[tuple[float, float]],
-                     steiner: list[tuple[float, float]]) -> float:
+def _fermat_residual(topology: SteinerTopology, points: list[Point]) -> float:
+    """Largest |sum of unit edge vectors| over the degree-3 junctions."""
     m = topology.n_terminals
     deg = topology.degrees()
     worst = 0.0
-    for k, (x, y) in enumerate(steiner):
-        if deg[m + k] != 3:
+    for v in range(m, m + topology.n_steiner):
+        if deg[v] != 3:
             continue
+        x, y = points[v]
         sx = sy = 0.0
-        for v in topology.neighbours(m + k):
-            qx, qy = _positions(topology, terminals, steiner, v)
+        for u in topology.neighbours(v):
+            qx, qy = points[u]
             d = math.hypot(qx - x, qy - y)
             if d > _ZERO_EDGE_TOL:
                 sx += (qx - x) / d
@@ -420,83 +261,179 @@ def _fermat_residual(topology: SteinerTopology,
     return worst
 
 
-def _assemble(topology: SteinerTopology,
-              terminals: list[tuple[float, float]],
-              steiner: list[tuple[float, float]]) -> SteinerNetwork:
+def _assemble(topology: SteinerTopology, points: list[Point]) -> SteinerNetwork:
+    m = topology.n_terminals
     return SteinerNetwork(
-        terminals=np.array(terminals, dtype=float),
-        steiner_points=np.array(steiner, dtype=float).reshape(-1, 2),
+        terminals=np.array(points[:m], dtype=float),
+        steiner_points=np.array(points[m:], dtype=float).reshape(-1, 2),
         topology=topology,
-        total_length=_total_length(topology, terminals, steiner),
-        fermat_residual=_fermat_residual(topology, terminals, steiner),
+        total_length=_total_length(topology.edges, points),
+        fermat_residual=_fermat_residual(topology, points),
     )
 
 
-def _initial_guesses(topology: SteinerTopology,
-                     terminals: list[tuple[float, float]],
-                     settings: OptimizerSettings,
-                     rng: np.random.Generator) -> list[list[tuple[float, float]]]:
+def _apex(p: Point, q: Point, side: float) -> Point:
+    """Apex of the equilateral triangle on pq, left of p->q for side=+1."""
+    return ((p[0] + q[0]) / 2.0 - side * _HALF_SQRT3 * (q[1] - p[1]),
+            (p[1] + q[1]) / 2.0 + side * _HALF_SQRT3 * (q[0] - p[0]))
+
+
+def _melzak_junction(p: Point, q: Point, apex: Point, toward: Point) -> Point:
+    """Where the ray from ``apex`` to ``toward`` meets the circle through p,
+    q and apex again: the junction that joins p and q at 120 degrees."""
+    cx = (p[0] + q[0] + apex[0]) / 3.0
+    cy = (p[1] + q[1] + apex[1]) / 3.0
+    d = math.hypot(toward[0] - apex[0], toward[1] - apex[1])
+    ux = (toward[0] - apex[0]) / d
+    uy = (toward[1] - apex[1]) / d
+    t = -2.0 * (ux * (apex[0] - cx) + uy * (apex[1] - cy))
+    return (apex[0] + t * ux, apex[1] + t * uy)
+
+
+def _cross(o: Point, p: Point, q: Point) -> float:
+    return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
+
+
+def _angle_below_120(o: Point, a: Point, b: Point) -> bool:
+    ax, ay, bx, by = a[0] - o[0], a[1] - o[1], b[0] - o[0], b[1] - o[1]
+    return ax * bx + ay * by > -0.5 * math.hypot(ax, ay) * math.hypot(bx, by)
+
+
+def _fermat_candidates(pts: list[Point], i: int, j: int,
+                       k: int) -> Iterator[Placement]:
+    """The Fermat-Torricelli point of terminals i, j, k when every angle is
+    below 120 degrees, then the three vertices."""
+    p, q, r = pts[i], pts[j], pts[k]
+    if all(_angle_below_120(*corner)
+           for corner in ((p, q, r), (q, r, p), (r, p, q))):
+        side = -1.0 if _cross(p, q, r) > 0.0 else 1.0  # apex away from r
+        yield _melzak_junction(p, q, _apex(p, q, side), r)
+    yield i
+    yield j
+    yield k
+
+
+def _diagonal_crossing(pts: list[Point]) -> Point | None:
+    """Crossing of the two diagonals when the four terminals are in convex
+    position: there the distance sum to all four is smallest."""
+    for (a, b), (c, d) in (((0, 1), (2, 3)), ((0, 2), (1, 3)),
+                           ((0, 3), (1, 2))):
+        p, q, r, s = pts[a], pts[b], pts[c], pts[d]
+        d_r, d_s = _cross(p, q, r), _cross(p, q, s)
+        d_p, d_q = _cross(r, s, p), _cross(r, s, q)
+        if d_r * d_s < 0.0 and d_p * d_q < 0.0:
+            t = d_p / (d_p - d_q)
+            return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+    return None
+
+
+def _pairing_candidates(pts: list[Point], a1: int, a2: int, b1: int,
+                        b2: int) -> Iterator[tuple[Placement, Placement]]:
+    """A complete candidate set for junctions s1 (joining a1, a2) and s2
+    (joining b1, b2): the minimum over the topology's closure is among them."""
+    A1, A2, B1, B2 = pts[a1], pts[a2], pts[b1], pts[b2]
+    for side_a in (1.0, -1.0):
+        apex_a = _apex(A1, A2, side_a)
+        for side_b in (1.0, -1.0):
+            apex_b = _apex(B1, B2, side_b)
+            if apex_a != apex_b:
+                yield (_melzak_junction(A1, A2, apex_a, apex_b),
+                       _melzak_junction(B1, B2, apex_b, apex_a))
+    median = _diagonal_crossing(pts)
+    if median is not None:
+        yield median, 4  # s2 sits on s1: one degree-4 junction
+    # these include both junctions on one terminal, the median of the four
+    # when one terminal lies in the triangle of the other three
+    for a in (a1, a2):
+        for s2 in _fermat_candidates(pts, a, b1, b2):
+            yield a, s2
+    for b in (b1, b2):
+        for s1 in _fermat_candidates(pts, a1, a2, b):
+            yield s1, b
+
+
+def _embed(topology: SteinerTopology, pts: list[Point],
+           placement: tuple[Placement, ...]) -> SteinerNetwork:
+    """The network with junction k at ``placement[k]``; a junction placed on
+    a vertex id is contracted onto that vertex (result marked merged)."""
     m = topology.n_terminals
-    xs = [p[0] for p in terminals]
-    ys = [p[1] for p in terminals]
-    lo = (min(xs), min(ys))
-    hi = (max(xs), max(ys))
-    # deterministic start: each junction at the centroid of its terminal
-    # neighbours (its own best guess before the middle edge is accounted for)
-    det = []
-    for k in range(topology.n_steiner):
-        nbr_terms = [v for v in topology.neighbours(m + k) if v < m]
-        det.append((sum(terminals[v][0] for v in nbr_terms) / len(nbr_terms),
-                    sum(terminals[v][1] for v in nbr_terms) / len(nbr_terms)))
-    guesses = [det]
-    for _ in range(settings.restarts):
-        guesses.append([(float(rng.uniform(lo[0], hi[0])),
-                         float(rng.uniform(lo[1], hi[1])))
-                        for _ in range(topology.n_steiner)])
-    return guesses
+    new_id = list(range(m))
+    points = list(pts)
+    for k, where in enumerate(placement):
+        if isinstance(where, int):
+            new_id.append(new_id[where])
+        else:
+            new_id.append(len(points))
+            points.append(where)
+    if len(points) - m == topology.n_steiner:
+        return _assemble(topology, points)
+    edges = {(min(i, j), max(i, j)) for i, j in
+             ((new_id[u], new_id[v]) for u, v in topology.edges) if i != j}
+    return _assemble(SteinerTopology(m, len(points) - m, tuple(sorted(edges)),
+                                     merged=True), points)
+
+
+def _admissible(net: SteinerNetwork) -> bool:
+    """No junction within _MERGE_TOL of another vertex, and the 120-degree
+    condition met (to FERMAT_TOL) at every degree-3 junction."""
+    if net.fermat_residual > FERMAT_TOL:
+        return False
+    pts = net.points
+    m = net.topology.n_terminals
+    for k in range(m, len(pts)):
+        dist = np.hypot(*(pts - pts[k]).T)
+        dist[k] = math.inf
+        if float(dist.min()) <= _MERGE_TOL:
+            return False
+    return True
 
 
 def optimize_topology(topology: SteinerTopology,
-                      terminals: np.ndarray,
-                      settings: OptimizerSettings = DEFAULT_SETTINGS,
-                      rng: np.random.Generator | None = None) -> SteinerNetwork:
-    """Minimize total length for one topology (convex: restarts agree)."""
-    term_list = [(float(x), float(y)) for x, y in np.asarray(terminals,
-                                                             dtype=float)]
-    if topology.n_terminals != len(term_list):
+                      terminals: np.ndarray) -> SteinerNetwork:
+    """The shortest embedding of one enumerated topology, in closed form.
+
+    Junctions that the optimum puts on a vertex are contracted onto it.
+    """
+    pts = [(float(x), float(y)) for x, y in np.asarray(terminals, dtype=float)]
+    m = topology.n_terminals
+    if m != len(pts):
         raise ValueError("terminal count does not match topology")
     if topology.n_steiner == 0:
-        return _assemble(topology, term_list, [])
-    if rng is None:
-        rng = np.random.default_rng(settings.seed)
-    best: SteinerNetwork | None = None
-    for guess in _initial_guesses(topology, term_list, settings, rng):
-        final_topo, final_steiner = _optimize_embedded(
-            topology, term_list, list(guess), settings)
-        net = _assemble(final_topo, term_list, final_steiner)
-        if best is None or net.total_length < best.total_length:
-            best = net
-    assert best is not None
-    return best
+        return _assemble(topology, pts)
+    if topology.merged or topology.n_steiner != m - 2:
+        raise ValueError("closed forms cover the enumerated topologies only")
+    if m == 3:
+        candidates = [(where,) for where in _fermat_candidates(pts, 0, 1, 2)]
+    else:
+        a1, a2 = (v for v in topology.neighbours(4) if v < m)
+        b1, b2 = (v for v in topology.neighbours(5) if v < m)
+        candidates = list(_pairing_candidates(pts, a1, a2, b1, b2))
+    lengths = []
+    for placement in candidates:
+        points = list(pts)
+        for where in placement:
+            points.append(points[where] if isinstance(where, int) else where)
+        lengths.append(_total_length(topology.edges, points))
+    # every candidate is a feasible embedding, so the shortest is optimal;
+    # rounding can spoil a near-degenerate one, hence the ordered fallback
+    # (a candidate with every junction on a terminal always qualifies)
+    order = sorted(range(len(candidates)), key=lengths.__getitem__)
+    return next(net for net in (_embed(topology, pts, candidates[idx])
+                                for idx in order) if _admissible(net))
 
 
-def optimize_all(terminals: np.ndarray,
-                 settings: OptimizerSettings = DEFAULT_SETTINGS
-                 ) -> list[SteinerNetwork]:
+def optimize_all(terminals: np.ndarray) -> list[SteinerNetwork]:
     """Optimize every candidate topology, in enumeration order."""
     term = np.asarray(terminals, dtype=float)
     if term.ndim != 2 or term.shape[1] != 2:
         raise ValueError(f"terminals must be (m, 2), got shape {term.shape}")
     PointConfig(term)  # rejects duplicate terminals
-    nets = []
-    for idx, topology in enumerate(enumerate_topologies(term.shape[0])):
-        rng = np.random.default_rng([settings.seed, idx])
-        nets.append(optimize_topology(topology, term, settings, rng))
-    return nets
+    return [optimize_topology(topology, term)
+            for topology in enumerate_topologies(term.shape[0])]
 
 
 def select_minima(nets: list[SteinerNetwork],
-                  degeneracy_tol: float = DEFAULT_SETTINGS.degeneracy_tol
+                  degeneracy_tol: float = DEGENERACY_TOL
                   ) -> list[SteinerNetwork]:
     """Keep the networks within ``degeneracy_tol`` of the shortest length,
     geometrically deduplicated, preserving input order."""
@@ -515,13 +452,10 @@ def select_minima(nets: list[SteinerNetwork],
     return winners
 
 
-def solve_steiner(terminals: np.ndarray,
-                  settings: OptimizerSettings = DEFAULT_SETTINGS
-                  ) -> list[SteinerNetwork]:
-    """All global minimizers (within ``degeneracy_tol`` of the best length),
+def solve_steiner(terminals: np.ndarray) -> list[SteinerNetwork]:
+    """All global minimizers (within DEGENERACY_TOL of the best length),
     geometrically deduplicated, in topology enumeration order."""
-    return select_minima(optimize_all(terminals, settings),
-                         settings.degeneracy_tol)
+    return select_minima(optimize_all(terminals))
 
 
 # ---------------------------------------------------------------------------
@@ -529,12 +463,12 @@ def solve_steiner(terminals: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def check_fermat_condition(net: SteinerNetwork,
-                           tol: float = 1e-9) -> FermatCheck:
+                           tol: float = FERMAT_TOL) -> FermatCheck:
     """Verify the 120-degree condition at every degree-3 junction.
 
     Junctions of other degrees (merge products) make the network non-full;
     the condition is then not applicable to them.  A zero-length edge means
-    merge handling was skipped and is rejected outright.
+    a coincident vertex was not contracted and is rejected outright.
     """
     pts = net.points
     for i, j in net.topology.edges:
@@ -544,9 +478,7 @@ def check_fermat_condition(net: SteinerNetwork,
     deg = net.topology.degrees()
     is_full = net.topology.n_steiner > 0 and all(
         deg[m + k] == 3 for k in range(net.topology.n_steiner))
-    term_list = [tuple(p) for p in net.terminals]
-    stein_list = [tuple(p) for p in net.steiner_points]
-    residual = _fermat_residual(net.topology, term_list, stein_list)
+    residual = _fermat_residual(net.topology, [tuple(p) for p in pts])
     return FermatCheck(is_full=is_full, ok=residual <= tol,
                        max_residual=residual)
 

@@ -10,6 +10,8 @@ import sys
 
 import pytest
 
+import ssb_lab
+from ssb_lab import scalar
 from ssb_lab.cli import main, resolve_config, run_subcommand
 from ssb_lab.report import (CheckReport, RunManifest, make_check,
                             manifest_json, write_csv, write_segments)
@@ -53,6 +55,33 @@ def test_manifest_json_is_sorted_and_stable():
     parsed = json.loads(text)
     assert parsed["config"] == {"a": 2, "b": 1}
     assert parsed["generated_at"].startswith("2000")
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_non_finite_measurements_are_null_and_fail():
+    check = make_check("x", "a", math.inf, 0.0, tolerance=1e-9)
+    assert check.measured is None and not check.passed
+    assert check.tolerance == 1e-9
+    assert not make_check("x", "a", math.nan, 0.0, tolerance=1e-9).passed
+    manifest = RunManifest(subcommand="demo", config={}, seed=0,
+                           version="0.0.0", reports=(check,))
+    parsed = json.loads(manifest_json(manifest),
+                        parse_constant=_reject_constant)
+    assert parsed["reports"][0]["measured"] is None
+
+
+def test_forced_failing_check_writes_strict_json(tmp_path, monkeypatch):
+    # one minimum instead of two: scalar.quartic_minima cannot be measured
+    monkeypatch.setattr(scalar, "stable_minima", lambda p, tol=None: [0.7])
+    assert main(["scalar", "--out", str(tmp_path)]) == 1
+    text = (tmp_path / "manifest_scalar.json").read_text()
+    parsed = json.loads(text, parse_constant=_reject_constant)
+    minima = _report_by_name(parsed, "scalar.quartic_minima")
+    assert minima["measured"] is None
+    assert minima["pass"] is False
 
 
 def test_segment_and_csv_writers(tmp_path):
@@ -205,6 +234,75 @@ def test_bad_config_file_exits_two(tmp_path):
     assert main(["ode", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
+def _exits_two_with_one_line(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [
+    "[[0, 0], [1, 0]]",
+    "[[0, 0], [1, 0], [0, 1], [1, 1], [2, 2]]",
+    "[[0, 0], [1, 0], [0, 0]]",
+    "[[0, 0], [1, 0], [NaN, 1]]",
+    "[[0, 0], [1, 0], [Infinity, 1]]",
+    '{"terminals": [[0, 0], [1, 0], [0, 1]]}',
+    "[0, 1, 2]",
+    "[[0, 0, 0], [1, 0, 0], [0, 1, 0]]",
+], ids=["two", "five", "duplicate", "nan", "infinite", "object", "flat",
+        "three_d"])
+def test_bad_terminals_file_exits_two(tmp_path, capsys, text):
+    src = tmp_path / "terminals.json"
+    src.write_text(text)
+    _exits_two_with_one_line(["steiner", "--terminals", str(src),
+                              "--out", str(tmp_path)], capsys)
+    assert not (tmp_path / "manifest_steiner.json").exists()
+
+
+def test_missing_terminals_file_exits_two(tmp_path, capsys):
+    _exits_two_with_one_line(["steiner", "--terminals",
+                              str(tmp_path / "absent.json"),
+                              "--out", str(tmp_path)], capsys)
+
+
+@pytest.mark.parametrize("side", ["nan", "0", "-1.5", "inf"])
+def test_bad_square_side_exits_two(tmp_path, capsys, side):
+    _exits_two_with_one_line(["steiner", "--square", side,
+                              "--out", str(tmp_path)], capsys)
+
+
+@pytest.mark.parametrize("argv", [["-q", "nan"], ["--mu", "inf"],
+                                  ["--lambda", "inf"]])
+def test_non_finite_potential_settings_exit_two(tmp_path, capsys, argv):
+    # the manifest records the config, so NaN would make it invalid JSON
+    _exits_two_with_one_line(["potential", *argv, "--out", str(tmp_path)],
+                             capsys)
+
+
+@pytest.mark.parametrize("grid", ["4", "0", "-3"])
+def test_maxwell_grid_below_two_levels_exits_two(tmp_path, capsys, grid):
+    _exits_two_with_one_line(["maxwell", "--grid", grid,
+                              "--out", str(tmp_path)], capsys)
+
+
+def test_config_file_values_are_validated_too(tmp_path, capsys):
+    cfg = tmp_path / "settings.json"
+    cfg.write_text(json.dumps({"grid": 4}))
+    _exits_two_with_one_line(["all", "--config", str(cfg),
+                              "--out", str(tmp_path)], capsys)
+    cfg.write_text(json.dumps({"grid": "abc"}))
+    _exits_two_with_one_line(["maxwell", "--config", str(cfg),
+                              "--out", str(tmp_path)], capsys)
+
+
+def test_smallest_two_level_grid_runs(tmp_path):
+    # N = 5 compares the 4- and 5-point grids: too coarse to pass, but
+    # every check is defined
+    assert main(["maxwell", "--grid", "5", "--out", str(tmp_path)]) in (0, 1)
+    assert (tmp_path / "manifest_maxwell.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
@@ -233,7 +331,11 @@ def test_run_subcommand_api_matches_cli(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_module_entry_point_subprocess(tmp_path):
-    env = dict(os.environ, SSB_LAB_OUT=str(tmp_path))
+    # the child imports the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(ssb_lab.__file__))
+    env = dict(os.environ, SSB_LAB_OUT=str(tmp_path),
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
     good = subprocess.run([sys.executable, "-m", "ssb_lab", "scalar"],
                           capture_output=True, text=True, env=env)
     assert good.returncode == 0

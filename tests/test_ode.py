@@ -8,22 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssb_lab.ode import (ExpSolution, Translation, is_vacuum, ode_residual,
+from ssb_lab.ode import (ExpSolution, Translation, is_vacuum,
                          sampled_ode_residual, translate_solution)
 
 finite_c = st.floats(-5.0, 5.0)
 finite_a = st.floats(-5.0, 5.0)
-
-
-def test_family_members_solve_the_equation_exactly():
-    for c in (-2.0, 0.0, 0.5, 3.0):
-        for x in (-10.0, -1.0, 0.0, 2.5, 100.0):
-            assert ode_residual(c, x) == 0.0
-
-
-def test_residual_rejects_overflowing_arguments():
-    with pytest.raises(ValueError):
-        ode_residual(1.0, 1000.0)
 
 
 def test_sampled_residual_is_small_for_a_true_solution():
@@ -83,6 +72,11 @@ def test_translation_inverse(c, a):
 def test_zero_shift_is_the_identity():
     for c in (-3.0, 0.0, 1.234):
         assert translate_solution(c, 0.0) == c
+
+
+def test_solution_rejects_overflowing_arguments():
+    with pytest.raises(ValueError):
+        ExpSolution(1.0)(1000.0)
 
 
 def test_overflow_guard_raises_instead_of_inf():
