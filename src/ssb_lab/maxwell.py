@@ -34,14 +34,31 @@ DEFAULT_DT_RATIO = 0.1  # dt = ratio * h keeps time error subdominant
 
 @dataclass(frozen=True)
 class ComplexFieldGrid:
-    """A 3-component complex field on an N^3 periodic grid at one instant."""
+    """A 3-component complex field on an N^3 periodic grid at one instant.
+
+    The values are read-only.  An array passed in is copied, so later writes
+    to it do not show in the grid.
+    """
 
     values: np.ndarray
     spacing: float
     time: float
 
     def __post_init__(self) -> None:
-        v = np.array(self.values, dtype=complex)
+        self._freeze(np.array(self.values, dtype=complex))
+
+    @classmethod
+    def _adopt(cls, values: np.ndarray, spacing: float,
+               time: float) -> ComplexFieldGrid:
+        """Wrap a complex array this module has just allocated and holds no
+        other reference to: validated like any grid, but not copied."""
+        grid = object.__new__(cls)
+        object.__setattr__(grid, "spacing", spacing)
+        object.__setattr__(grid, "time", time)
+        grid._freeze(values)
+        return grid
+
+    def _freeze(self, v: np.ndarray) -> None:
         if v.ndim != 4 or v.shape[3] != 3:
             raise ValueError(f"values must be (N, N, N, 3), got {v.shape}")
         n = v.shape[0]
@@ -60,14 +77,41 @@ class ComplexFieldGrid:
         return self.values.shape[0]
 
 
+def _empty_field(n_grid: int) -> np.ndarray:
+    """An uninitialized (N, N, N, 3) complex array stored component by
+    component, so each values[..., c] that the stencils read is contiguous."""
+    return np.moveaxis(np.empty((3, n_grid, n_grid, n_grid), dtype=complex),
+                       0, -1)
+
+
+def wave_vector(k) -> np.ndarray:
+    """``k`` as a float 3-vector.
+
+    Raises ValueError unless ``k`` holds three finite integer components
+    (commensurate with the 2pi-periodic box), not all zero.
+    """
+    try:
+        raw = np.asarray(k)
+    except ValueError:  # ragged nesting
+        raw = None
+    if raw is None or raw.shape != (3,) or raw.dtype.kind not in "iuf":
+        raise ValueError(f"k must be a 3-vector of numbers, got {k!r}")
+    k = raw.astype(float)
+    if not np.all(np.isfinite(k)) or np.any(k != np.round(k)):
+        raise ValueError(f"wave vector {k} is not commensurate with the "
+                         f"periodic box (integer components required)")
+    if not np.any(k):
+        raise ValueError("k = 0 is not a wave")
+    return k
+
+
 @dataclass(frozen=True)
 class PlaneWaveSpec:
     """Wave vector, polarization and amplitude of a helicity eigenwave.
 
-    The wave vector must have integer components (commensurate with the
-    2pi-periodic box).  The polarization must be transverse and satisfy
-    k x eps = -i |k| eps, the eigenvalue compatible with the evolution law
-    for a wave with phase k.x - |k| t.
+    The wave vector must pass ``wave_vector``.  The polarization must be
+    transverse and satisfy k x eps = -i |k| eps, the eigenvalue compatible
+    with the evolution law for a wave with phase k.x - |k| t.
     """
 
     k: np.ndarray
@@ -75,16 +119,11 @@ class PlaneWaveSpec:
     amplitude: complex = 1.0 + 0.0j
 
     def __post_init__(self) -> None:
-        k = np.array(self.k, dtype=float)
+        k = wave_vector(self.k)
         eps = np.array(self.polarization, dtype=complex)
-        if k.shape != (3,) or eps.shape != (3,):
-            raise ValueError("k and polarization must be 3-vectors")
-        if np.max(np.abs(k - np.round(k))) > 0:
-            raise ValueError(f"wave vector {k} is not commensurate with the "
-                             f"periodic box (integer components required)")
+        if eps.shape != (3,):
+            raise ValueError("polarization must be a 3-vector")
         omega = float(np.linalg.norm(k))
-        if omega == 0.0:
-            raise ValueError("k = 0 is not a wave")
         if abs(np.vdot(k.astype(complex), eps)) > _TRANSVERSALITY_TOL:
             raise ValueError("polarization is not transverse to k")
         helicity_defect = np.max(np.abs(np.cross(k, eps) + 1j * omega * eps))
@@ -108,14 +147,7 @@ def make_helicity_wave(k, amplitude: complex = 1.0 + 0.0j) -> PlaneWaveSpec:
     Builds a right-handed orthonormal frame (e1, e2, k/|k|) and returns the
     polarization (e1 + i e2)/sqrt 2.
     """
-    k = np.asarray(k, dtype=float)
-    if k.shape != (3,):
-        raise ValueError("k must be a 3-vector")
-    if np.max(np.abs(k - np.round(k))) > 0:
-        raise ValueError(f"wave vector {k} is not commensurate with the "
-                         f"periodic box (integer components required)")
-    if not np.any(k):
-        raise ValueError("k = 0 is not a wave")
+    k = wave_vector(k)
     khat = k / np.linalg.norm(k)
     # start from the axis least aligned with k for a stable frame
     axis = np.zeros(3)
@@ -129,15 +161,21 @@ def make_helicity_wave(k, amplitude: complex = 1.0 + 0.0j) -> PlaneWaveSpec:
 
 def sample_plane_wave(spec: PlaneWaveSpec, n_grid: int = DEFAULT_GRID,
                       time: float = 0.0) -> ComplexFieldGrid:
-    """Evaluate amp * eps * exp(i(k.x - |k| t)) on the periodic grid."""
+    """Evaluate amp * eps * exp(i(k.x - |k| t)) on the periodic grid.
+
+    The exponential factorizes, so it is sampled as amp * exp(-i|k|t) times
+    the outer product of the three 1-d factors exp(i k_j x_j).
+    """
     h = BOX_LENGTH / n_grid
     coords = h * np.arange(n_grid)
-    x, y, z = np.meshgrid(coords, coords, coords, indexing="ij", sparse=True)
-    phase = (spec.k[0] * x + spec.k[1] * y + spec.k[2] * z
-             - spec.omega * time)
-    wave = spec.amplitude * np.exp(1j * phase)
-    values = wave[..., None] * spec.polarization[None, None, None, :]
-    return ComplexFieldGrid(values=values, spacing=h, time=time)
+    ex, ey, ez = (np.exp(1j * kj * coords) for kj in spec.k)
+    ex *= spec.amplitude * np.exp(-1j * spec.omega * time)
+    eyz = np.multiply.outer(ey, ez)
+    values = _empty_field(n_grid)
+    for c in range(3):
+        np.multiply.outer(spec.polarization[c] * ex, eyz,
+                          out=values[..., c])
+    return ComplexFieldGrid._adopt(values, h, time)
 
 
 def wave_snapshots(spec: PlaneWaveSpec, n_grid: int = DEFAULT_GRID,
@@ -158,24 +196,51 @@ def wave_snapshots(spec: PlaneWaveSpec, n_grid: int = DEFAULT_GRID,
 # stencils
 # ---------------------------------------------------------------------------
 
-def _ddx(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * h)
+def _ddx(values: np.ndarray, axis: int, h: float,
+         out: np.ndarray) -> np.ndarray:
+    """Periodic central difference of an (N, N, N) field along ``axis``,
+    written into ``out``: (v[i+1] - v[i-1]) / 2h with wrapped ends."""
+    v = np.moveaxis(values, axis, 0)
+    o = np.moveaxis(out, axis, 0)
+    np.subtract(v[2:], v[:-2], out=o[1:-1])
+    np.subtract(v[1], v[-1], out=o[0])
+    np.subtract(v[0], v[-2], out=o[-1])
+    return np.divide(out, 2.0 * h, out=out)
+
+
+def _curl_component(v: np.ndarray, c: int, h: float, out: np.ndarray,
+                    scratch: np.ndarray) -> np.ndarray:
+    """Component c of the curl, d_i v_j - d_j v_i with (c, i, j) cyclic,
+    written into ``out``; ``scratch`` is an (N, N, N) work buffer."""
+    i, j = (c + 1) % 3, (c + 2) % 3
+    _ddx(v[..., j], i, h, out)
+    _ddx(v[..., i], j, h, scratch)
+    return np.subtract(out, scratch, out=out)
+
+
+def _divergence(v: np.ndarray, h: float, out: np.ndarray,
+                scratch: np.ndarray) -> np.ndarray:
+    """d_0 v_0 + d_1 v_1 + d_2 v_2 written into ``out``; ``scratch`` is an
+    (N, N, N) work buffer."""
+    _ddx(v[..., 0], 0, h, out)
+    for axis in (1, 2):
+        out += _ddx(v[..., axis], axis, h, scratch)
+    return out
 
 
 def discrete_div(f: ComplexFieldGrid) -> np.ndarray:
     """Central-difference divergence, an (N, N, N) complex field."""
-    v, h = f.values, f.spacing
-    return (_ddx(v[..., 0], 0, h) + _ddx(v[..., 1], 1, h)
-            + _ddx(v[..., 2], 2, h))
+    out = np.empty(f.values.shape[:3], dtype=complex)
+    return _divergence(f.values, f.spacing, out, np.empty_like(out))
 
 
 def discrete_curl(f: ComplexFieldGrid) -> np.ndarray:
     """Central-difference curl, an (N, N, N, 3) complex field."""
     v, h = f.values, f.spacing
     out = np.empty_like(v)
-    out[..., 0] = _ddx(v[..., 2], 1, h) - _ddx(v[..., 1], 2, h)
-    out[..., 1] = _ddx(v[..., 0], 2, h) - _ddx(v[..., 2], 0, h)
-    out[..., 2] = _ddx(v[..., 1], 0, h) - _ddx(v[..., 0], 1, h)
+    scratch = np.empty(v.shape[:3], dtype=complex)
+    for c in range(3):
+        _curl_component(v, c, h, out[..., c], scratch)
     return out
 
 
@@ -187,7 +252,8 @@ def maxwell_residual(f_t: ComplexFieldGrid, f_plus: ComplexFieldGrid,
     The divergence norm is max |div F| over the grid; the evolution norm is
     max over the grid of the vector magnitude of
     (F(t+dt) - F(t-dt)) / (2 dt) + i curl F(t), which vanishes for an exact
-    solution up to O(h^2) + O(dt^2).
+    solution up to O(h^2) + O(dt^2).  Both are computed one vector component
+    at a time in four (N, N, N) work buffers.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -196,11 +262,25 @@ def maxwell_residual(f_t: ComplexFieldGrid, f_plus: ComplexFieldGrid,
             raise ValueError("snapshot grids differ in shape")
         if other.spacing != f_t.spacing:
             raise ValueError("snapshot grids differ in spacing")
-    div_norm = float(np.max(np.abs(discrete_div(f_t))))
-    evolution = ((f_plus.values - f_minus.values) / (2.0 * dt)
-                 + 1j * discrete_curl(f_t))
-    evolution_norm = float(np.max(np.sqrt(
-        np.sum(np.abs(evolution) ** 2, axis=-1))))
+    v, h = f_t.values, f_t.spacing
+    a = np.empty(v.shape[:3], dtype=complex)
+    b = np.empty_like(a)
+    mag = np.empty(a.shape)
+    total = np.zeros(a.shape)
+
+    div_norm = float(np.max(np.abs(_divergence(v, h, a, b), out=mag)))
+
+    # the operations and operand order of (F+ - F-) / 2dt + 1j * curl F,
+    # so each component is the same to the last bit as the whole-field form
+    for c in range(3):
+        _curl_component(v, c, h, a, b)
+        np.multiply(1j, a, out=a)
+        np.subtract(f_plus.values[..., c], f_minus.values[..., c], out=b)
+        np.divide(b, 2.0 * dt, out=b)
+        np.add(b, a, out=b)
+        total += np.square(np.abs(b, out=mag), out=mag)
+    # sqrt is monotone, so the max of the roots is the root of the max
+    evolution_norm = float(np.sqrt(np.max(total)))
     return div_norm, evolution_norm
 
 
@@ -218,8 +298,7 @@ def scale_field(f: ComplexFieldGrid, z: complex) -> ComplexFieldGrid:
     z = complex(z)
     if z == 0:
         raise ValueError("z = 0 does not act on solutions invertibly")
-    return ComplexFieldGrid(values=z * f.values, spacing=f.spacing,
-                            time=f.time)
+    return ComplexFieldGrid._adopt(z * f.values, f.spacing, f.time)
 
 
 def electric_magnetic(f: ComplexFieldGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -229,9 +308,22 @@ def electric_magnetic(f: ComplexFieldGrid) -> tuple[np.ndarray, np.ndarray]:
 
 def zero_field(n_grid: int = DEFAULT_GRID, time: float = 0.0) -> ComplexFieldGrid:
     h = BOX_LENGTH / n_grid
-    return ComplexFieldGrid(values=np.zeros((n_grid, n_grid, n_grid, 3),
-                                            dtype=complex),
-                            spacing=h, time=time)
+    values = _empty_field(n_grid)
+    values.fill(0.0)
+    return ComplexFieldGrid._adopt(values, h, time)
+
+
+def study_level(spec: PlaneWaveSpec, n_grid: int,
+                dt_ratio: float = DEFAULT_DT_RATIO
+                ) -> tuple[tuple[int, float, float, float],
+                           tuple[ComplexFieldGrid, ComplexFieldGrid,
+                                 ComplexFieldGrid, float]]:
+    """One grid of the convergence study: the row (n_grid, spacing,
+    div_norm, evolution_norm) and the snapshots (f_t, f_plus, f_minus, dt)
+    whose residual it holds."""
+    snapshots = wave_snapshots(spec, n_grid, dt_ratio=dt_ratio)
+    div_norm, evo_norm = maxwell_residual(*snapshots)
+    return (int(n_grid), BOX_LENGTH / n_grid, div_norm, evo_norm), snapshots
 
 
 def convergence_study(k, n_grids: list[int] | tuple[int, ...],
@@ -243,9 +335,4 @@ def convergence_study(k, n_grids: list[int] | tuple[int, ...],
     doubling both norms should fall by a factor of about 4.
     """
     spec = make_helicity_wave(k)
-    rows = []
-    for n in n_grids:
-        f_t, f_plus, f_minus, dt = wave_snapshots(spec, n)
-        div_norm, evo_norm = maxwell_residual(f_t, f_plus, f_minus, dt)
-        rows.append((int(n), BOX_LENGTH / n, div_norm, evo_norm))
-    return rows
+    return [study_level(spec, n, dt_ratio)[0] for n in n_grids]

@@ -11,7 +11,8 @@ import sys
 import pytest
 
 import ssb_lab
-from ssb_lab import scalar
+from ssb_lab import cli, scalar
+from ssb_lab import maxwell as mx
 from ssb_lab.cli import main, resolve_config, run_subcommand
 from ssb_lab.report import (CheckReport, RunManifest, make_check,
                             manifest_json, write_csv, write_segments)
@@ -286,6 +287,71 @@ def test_maxwell_grid_below_two_levels_exits_two(tmp_path, capsys, grid):
                               "--out", str(tmp_path)], capsys)
 
 
+@pytest.mark.parametrize("argv", [
+    ["potential", "-n", "1"],
+    ["potential", "-n", "0"],
+    ["potential", "--lambda", "0"],
+    ["ode", "--seed", "-1"],
+], ids=["dim_1", "dim_0", "lambda_0", "negative_seed"])
+def test_out_of_range_settings_exit_two(tmp_path, capsys, argv):
+    _exits_two_with_one_line([*argv, "--out", str(tmp_path)], capsys)
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("k", [[0, 0, 0], [1, 2], "ab"],
+                         ids=["zero", "two_components", "string"])
+def test_bad_maxwell_wave_vector_exits_two(tmp_path, capsys, k):
+    cfg = tmp_path / "settings.json"
+    cfg.write_text(json.dumps({"k": k}))
+    out = tmp_path / "out"
+    _exits_two_with_one_line(["maxwell", "--config", str(cfg),
+                              "--out", str(out)], capsys)
+    assert not out.exists()
+
+
+def test_axis_aligned_maxwell_wave_fails_without_a_crash(tmp_path):
+    # the discrete divergence of k = (0, 0, 1) is exactly 0 on every grid,
+    # so it has no convergence ratio
+    cfg = tmp_path / "settings.json"
+    cfg.write_text(json.dumps({"k": [0, 0, 1]}))
+    assert main(["maxwell", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 1
+    manifest = _read_manifest(tmp_path / "manifest_maxwell.json")
+    ratio = _report_by_name(manifest, "maxwell.divergence_convergence")
+    assert ratio["measured"] is None and not ratio["pass"]
+    assert _report_by_name(manifest, "maxwell.rescaling_linearity")["pass"]
+
+
+def test_maxwell_grid_over_the_memory_budget_exits_two(tmp_path, capsys,
+                                                       monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a rejected grid must not be sampled")
+
+    monkeypatch.setattr(mx, "sample_plane_wave", no_sampling)
+    _exits_two_with_one_line(["maxwell", "--grid", "100000",
+                              "--out", str(tmp_path)], capsys)
+    largest = int((cli.MAXWELL_MEMORY_BUDGET
+                   / cli.MAXWELL_BYTES_PER_POINT) ** (1.0 / 3.0))
+    for grid in (128, largest):
+        cli._validate_config("maxwell", {"grid": grid, "k": [1, 2, 2]})
+    with pytest.raises(cli.UsageError):
+        cli._validate_config("maxwell", {"grid": largest + 1,
+                                         "k": [1, 2, 2]})
+
+
+def test_maxwell_samples_each_level_once(tmp_path, monkeypatch):
+    calls = []
+    sample = mx.sample_plane_wave
+
+    def counted(spec, n_grid, time):
+        calls.append(n_grid)
+        return sample(spec, n_grid, time)
+
+    monkeypatch.setattr(mx, "sample_plane_wave", counted)
+    assert main(["maxwell", "--grid", "32", "--out", str(tmp_path)]) == 0
+    assert sorted(calls) == [8] * 3 + [16] * 3 + [32] * 3
+
+
 def test_config_file_values_are_validated_too(tmp_path, capsys):
     cfg = tmp_path / "settings.json"
     cfg.write_text(json.dumps({"grid": 4}))
@@ -318,6 +384,29 @@ def test_reruns_are_identical_modulo_timestamp(tmp_path):
     assert man_a == man_b
     for name in man_a["artifacts"]:
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+
+
+def test_repeated_calls_in_one_process_match_fresh_processes(tmp_path):
+    # the parser is built once per process; reusing it must not carry
+    # state from one call into the next
+    runs = [["steiner"], ["maxwell", "--grid", "5"],
+            ["steiner", "--square", "2"]]
+    src = os.path.dirname(os.path.dirname(ssb_lab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for i, argv in enumerate(runs):
+        warm, cold = tmp_path / f"warm{i}", tmp_path / f"cold{i}"
+        code = main([*argv, "--out", str(warm)])
+        fresh = subprocess.run([sys.executable, "-m", "ssb_lab", *argv,
+                                "--out", str(cold)],
+                               capture_output=True, env=env)
+        assert code == fresh.returncode
+        name = f"manifest_{argv[0]}.json"
+        man_warm = _read_manifest(warm / name)
+        man_cold = _read_manifest(cold / name)
+        man_warm.pop("generated_at")
+        man_cold.pop("generated_at")
+        assert man_warm == man_cold
 
 
 def test_run_subcommand_api_matches_cli(tmp_path):

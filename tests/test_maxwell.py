@@ -12,12 +12,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssb_lab.maxwell import (BOX_LENGTH, ComplexFieldGrid, PlaneWaveSpec,
-                             convergence_study, discrete_curl, discrete_div,
-                             electric_magnetic, make_helicity_wave,
-                             maxwell_residual, sample_plane_wave, scale_field,
-                             wave_snapshots, zero_field)
+                             _ddx, convergence_study, discrete_curl,
+                             discrete_div, electric_magnetic,
+                             make_helicity_wave, maxwell_residual,
+                             sample_plane_wave, scale_field, wave_snapshots,
+                             wave_vector, zero_field)
 
 WAVE_VECTORS = [(1, 0, 0), (0, 2, 0), (1, 2, 2), (3, -1, 2), (-2, 0, 5)]
 
@@ -33,6 +36,41 @@ def _closed_form_norms(spec, n_grid, dt_ratio=0.1):
     evolution = (-1j * math.sin(spec.omega * dt) / dt) * eps \
         - np.cross(s, eps)
     return div, float(np.linalg.norm(evolution)), dt
+
+
+def _roll_ddx(values, axis, h):
+    """The stencil as two rolled copies, the reference for ``_ddx``."""
+    return (np.roll(values, -1, axis=axis)
+            - np.roll(values, 1, axis=axis)) / (2.0 * h)
+
+
+def _rolled_div_curl(f):
+    v, h = f.values, f.spacing
+    div = (_roll_ddx(v[..., 0], 0, h) + _roll_ddx(v[..., 1], 1, h)
+           + _roll_ddx(v[..., 2], 2, h))
+    curl = np.empty_like(v)
+    curl[..., 0] = _roll_ddx(v[..., 2], 1, h) - _roll_ddx(v[..., 1], 2, h)
+    curl[..., 1] = _roll_ddx(v[..., 0], 2, h) - _roll_ddx(v[..., 2], 0, h)
+    curl[..., 2] = _roll_ddx(v[..., 1], 0, h) - _roll_ddx(v[..., 0], 1, h)
+    return div, curl
+
+
+def _unfused_residual(f_t, f_plus, f_minus, dt):
+    """The residual norms from the whole div, curl and evolution fields."""
+    div, curl = _rolled_div_curl(f_t)
+    evolution = (f_plus.values - f_minus.values) / (2.0 * dt) + 1j * curl
+    return (float(np.max(np.abs(div))),
+            float(np.max(np.sqrt(np.sum(np.abs(evolution) ** 2, axis=-1)))))
+
+
+def _random_field(rng, n, component_major):
+    shape = (3, n, n, n) if component_major else (n, n, n, 3)
+    v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return np.moveaxis(v, 0, -1) if component_major else v
+
+
+_GRID_SIZES = st.integers(4, 12)
+_SEEDS = st.integers(0, 2 ** 32 - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +101,23 @@ def test_zero_wave_vector_rejected():
 def test_non_integer_wave_vector_rejected():
     with pytest.raises(ValueError):
         make_helicity_wave((1.5, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("k", [(0, 0, 0), (1, 2), "ab", (1.5, 0, 0),
+                               (math.nan, 0, 0), (math.inf, 0, 0),
+                               ((1, 2), (3,)), ("1", "2", "2"), None])
+def test_wave_vector_rule(k):
+    # one rule, applied by the helper, the wave builder and the spec
+    with pytest.raises(ValueError):
+        wave_vector(k)
+    with pytest.raises(ValueError):
+        make_helicity_wave(k)
+    with pytest.raises(ValueError):
+        PlaneWaveSpec(k=k, polarization=np.array([1.0, 1j, 0.0]))
+
+
+def test_wave_vector_accepts_integer_valued_numbers():
+    np.testing.assert_array_equal(wave_vector([1, -2.0, 0]), [1.0, -2.0, 0.0])
 
 
 def test_longitudinal_polarization_rejected():
@@ -98,6 +153,37 @@ def test_field_grid_values_are_read_only():
         f.values[0, 0, 0, 0] = 1.0
 
 
+def test_caller_array_is_copied_and_stays_writable():
+    values = np.zeros((4, 4, 4, 3), dtype=complex)
+    f = ComplexFieldGrid(values, 0.5, 0.0)
+    assert values.flags.writeable
+    values[0, 0, 0, 0] = 1.0
+    assert f.values[0, 0, 0, 0] == 0.0
+    assert not f.values.flags.writeable
+
+
+def test_computed_grids_are_read_only():
+    f = sample_plane_wave(make_helicity_wave((1, 2, 2)), n_grid=4)
+    for grid in (f, scale_field(f, 2.0 - 3.0j)):
+        with pytest.raises(ValueError):
+            grid.values[0, 0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("k", WAVE_VECTORS)
+@pytest.mark.parametrize("n_grid", [4, 7, 16])
+@pytest.mark.parametrize("time", [0.0, 0.37, -2.5])
+def test_separable_sampling_matches_the_direct_exponential(k, n_grid, time):
+    spec = make_helicity_wave(k, amplitude=0.6 - 0.8j)
+    x = BOX_LENGTH / n_grid * np.arange(n_grid)
+    gx, gy, gz = np.meshgrid(x, x, x, indexing="ij")
+    phase = spec.k[0] * gx + spec.k[1] * gy + spec.k[2] * gz \
+        - spec.omega * time
+    direct = (spec.amplitude * np.exp(1j * phase))[..., None] \
+        * spec.polarization
+    got = sample_plane_wave(spec, n_grid, time).values
+    assert np.max(np.abs(got - direct)) <= 1e-14
+
+
 def test_sampled_wave_shape_and_periodic_phase():
     spec = make_helicity_wave((1, 0, 0))
     f = sample_plane_wave(spec, n_grid=8)
@@ -129,6 +215,43 @@ def test_residual_norms_match_closed_form(k, n_grid):
     assert dt == pytest.approx(dt_ref, rel=1e-15)
     assert div_norm == pytest.approx(div_ref, rel=1e-11, abs=1e-13)
     assert evo_norm == pytest.approx(evo_ref, rel=1e-11, abs=1e-13)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_GRID_SIZES, st.sampled_from([0, 1, 2]), st.booleans(), _SEEDS)
+def test_slice_stencil_equals_rolled_copies_bit_for_bit(n, axis,
+                                                         component_major,
+                                                         seed):
+    rng = np.random.default_rng(seed)
+    values = _random_field(rng, n, component_major)
+    h = float(rng.uniform(0.01, 2.0))
+    for component in range(3):
+        v = values[..., component]
+        got = _ddx(v, axis, h, np.empty((n, n, n), dtype=complex))
+        assert got.tobytes() == _roll_ddx(v, axis, h).tobytes()
+
+
+@settings(derandomize=True, deadline=None)
+@given(_GRID_SIZES, st.booleans(), _SEEDS)
+def test_fused_residual_equals_unfused_formula_bit_for_bit(n, component_major,
+                                                           seed):
+    rng = np.random.default_rng(seed)
+    h, dt = rng.uniform(0.01, 2.0, size=2)
+    f_t, f_plus, f_minus = (
+        ComplexFieldGrid(_random_field(rng, n, component_major), h, 0.0)
+        for _ in range(3))
+    assert maxwell_residual(f_t, f_plus, f_minus, dt) \
+        == _unfused_residual(f_t, f_plus, f_minus, dt)
+    div, curl = _rolled_div_curl(f_t)
+    assert discrete_div(f_t).tobytes() == div.tobytes()
+    assert discrete_curl(f_t).tobytes() == curl.tobytes()
+
+
+@pytest.mark.parametrize("n_grid", [8, 16])
+def test_fused_residual_equals_unfused_formula_on_sampled_waves(n_grid):
+    for k in WAVE_VECTORS:
+        snapshots = wave_snapshots(make_helicity_wave(k), n_grid)
+        assert maxwell_residual(*snapshots) == _unfused_residual(*snapshots)
 
 
 def test_axis_aligned_wave_has_zero_discrete_divergence():
