@@ -15,11 +15,12 @@ plot-data files into the output directory (``--out``, else the SSB_LAB_OUT
 environment variable, else ./ssb_lab_out).  Settings resolve in the order
 command line flags > --config JSON file > built-in defaults.  The process
 exits 0 if every check passed, 1 if any failed (the manifest is still
-written), and 2 on usage errors: bad flags, or settings no run can give a
-defined result for, such as a non-positive square side, a terminals file
-that does not hold 3 or 4 distinct finite points, a Maxwell grid too coarse
-for two refinement levels or over the memory budget, or a potential in
-fewer than 2 dimensions.  A usage error prints one line to stderr.
+written), and 2 on usage errors (one line on stderr): bad flags, or settings
+no run can give a defined result for, such as a non-positive square side,
+terminals that are not 3 or 4 distinct points within 1e150 of the origin, a
+Maxwell grid too coarse for two levels or over the memory budget, a wave
+vector beyond 2**53, or a potential outside 2 to 179 dimensions or with mu
+or lambda outside [1e-60, 1e60].
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ DEFAULTS: dict[str, dict[str, Any]] = {
     "classify": {"seed": 0},
 }
 
-SUBCOMMANDS = ("steiner", "scalar", "ode", "maxwell", "potential",
-               "classify", "all")
+_CONFIG_KEYS = frozenset().union(*DEFAULTS.values())
+
 # maxwell compares residuals on grids N/4, N/2 and N (each at least 4 points
 # per axis); N >= 5 gives the two distinct levels a convergence ratio needs
 MIN_MAXWELL_GRID = 5
@@ -67,6 +68,17 @@ MIN_MAXWELL_GRID = 5
 # residual's two complex and two real (N, N, N) work buffers
 MAXWELL_BYTES_PER_POINT = 6 * 3 * 16 + 2 * 16 + 2 * 8
 MAXWELL_MEMORY_BUDGET = 4 * 2 ** 30
+# squared distances overflow (past 1.8e308) from coordinates of about 1e154
+MAX_COORDINATE = 1e150
+# from n = 180, O_{n-1} r^{n-1} at the plotted r = 0.05 underflows to 0
+MAX_POTENTIAL_DIM = 179
+# the checks raise lambda * r (r <= 7) to powers up to 5, which must stay
+# within 1e+-308; mu shares the bound, so r / mu and mu / lambda do too
+SCALE_RANGE = (1e-60, 1e60)
+# the bundled sign-flip problems and the verdict each must get
+SIGN_FLIP_VERDICTS = ((sc.SignFlipProblem.SQUARE_ROOTS, sym.SSBKind.NARROW),
+                      (sc.SignFlipProblem.QUARTIC_ROOTS, sym.SSBKind.GENERAL),
+                      (sc.SignFlipProblem.QUARTIC_MINIMA, sym.SSBKind.NARROW))
 
 
 class UsageError(Exception):
@@ -82,14 +94,33 @@ def _emit(out_dir: str, name: str, writer, *args) -> str:
     return name
 
 
+# shared fixtures: pure results of fixed inputs, computed at most once per
+# run and shared by the runners of `all`; run_subcommand clears them
+
+@functools.cache
+def _d4() -> sym.FiniteGroup:
+    return sym.dihedral_group(4)
+
+
+@functools.cache
+def _square_networks(side: float) -> tuple[tuple, tuple]:
+    """Every topology's network on the square, and the shortest ones."""
+    nets = st.optimize_all(st.square_terminals(side))
+    return tuple(nets), tuple(st.select_minima(nets))
+
+
+@functools.cache
+def _z2_verdict(problem: sc.SignFlipProblem) -> sym.SSBVerdict:
+    return sc.z2_verdict(problem)
+
+
 def _run_steiner(cfg: dict[str, Any], out_dir: str) -> tuple[list, list[str]]:
-    custom = cfg.get("terminals") is not None
+    custom = cfg["terminals"] is not None
     if custom:
-        terminals = np.asarray(cfg["terminals"], dtype=float)
+        nets = st.optimize_all(np.asarray(cfg["terminals"], dtype=float))
+        winners = st.select_minima(nets)
     else:
-        terminals = st.square_terminals(float(cfg["side"]))
-    nets = st.optimize_all(terminals)
-    winners = st.select_minima(nets)
+        nets, winners = _square_networks(float(cfg["side"]))
     best = min(net.total_length for net in nets)
 
     checks = []
@@ -127,8 +158,7 @@ def _run_steiner(cfg: dict[str, Any], out_dir: str) -> tuple[list, list[str]]:
         checks.append(make_check("steiner.x_guess_found",
                                  "steiner.square.diagonal_cross",
                                  False, True))
-    d4 = sym.dihedral_group(4)
-    orders = sorted(st.residual_symmetry(w, d4).order for w in winners)
+    orders = sorted(st.residual_symmetry(w, _d4()).order for w in winners)
     checks.append(make_check("steiner.stabilizer_orders",
                              "steiner.square.residual_symmetry",
                              orders, [4, 4]))
@@ -161,30 +191,26 @@ def _run_scalar(cfg: dict[str, Any], out_dir: str) -> tuple[list, list[str]]:
     checks.append(make_check("scalar.quartic_root_multiplicity",
                              "scalar.quartic.double_root", mult, [1, 2, 1]))
 
-    minima = sc.stable_minima(sc.DOUBLE_WELL)
-    err = max(abs(a - b) for a, b in zip(sorted(minima),
+    minima = [cp for cp in sc.critical_points(sc.DOUBLE_WELL)
+              if cp.kind is sc.CriticalKind.MINIMUM]
+    err = max(abs(a - b) for a, b in zip(sorted(cp.location for cp in minima),
                                          (-inv_sqrt2, inv_sqrt2)))
     checks.append(make_check("scalar.quartic_minima", "scalar.quartic.minima",
                              err if len(minima) == 2 else None,
                              0.0, 1e-10))
-    values = [cp.value for cp in sc.critical_points(sc.DOUBLE_WELL)
-              if cp.kind is sc.CriticalKind.MINIMUM]
-    err = max(abs(v + 0.25) for v in values) if values else None
+    err = max(abs(cp.value + 0.25) for cp in minima) if minima else None
     checks.append(make_check("scalar.quartic_minimum_value",
                              "scalar.quartic.well_depth", err, 0.0, 1e-12))
 
-    for problem, expected in (
-            (sc.SignFlipProblem.SQUARE_ROOTS, sym.SSBKind.NARROW),
-            (sc.SignFlipProblem.QUARTIC_ROOTS, sym.SSBKind.GENERAL),
-            (sc.SignFlipProblem.QUARTIC_MINIMA, sym.SSBKind.NARROW)):
-        verdict = sc.z2_verdict(problem)
+    for problem, expected in SIGN_FLIP_VERDICTS:
+        verdict = _z2_verdict(problem)
         checks.append(make_check(f"scalar.verdict.{problem.value}",
                                  f"scalar.{problem.value}.verdict",
                                  verdict.kind.value, expected.value))
         if problem is sc.SignFlipProblem.QUARTIC_ROOTS:
-            xs = sc.z2_solutions(problem)
+            # the verdict indexes the quartic's roots, which are locs
             idx = verdict.invariant_solution
-            witness = xs[idx] if idx is not None else None
+            witness = locs[idx] if idx is not None else None
             checks.append(make_check("scalar.symmetric_witness",
                                      "scalar.quartic.invariant_root",
                                      witness, 0.0, 1e-9))
@@ -214,12 +240,9 @@ def _run_ode(cfg: dict[str, Any], out_dir: str) -> tuple[list, list[str]]:
                              ode.translate_solution(1.0, math.log(2.0)),
                              2.0, 1e-12))
 
-    fixed = []
-    for c in np.linspace(-5.0, 5.0, 41):
-        c = float(c)
-        if all(abs(ode.translate_solution(c, a) - c) <= 1e-14
-               for a in (1.0, -1.0, 0.1, -0.1)):
-            fixed.append(c)
+    fixed = [c for c in np.linspace(-5.0, 5.0, 41).tolist()
+             if all(abs(ode.translate_solution(c, a) - c) <= 1e-14
+                    for a in (1.0, -1.0, 0.1, -0.1))]
     checks.append(make_check("ode.unique_fixed_point", "ode.vacuum",
                              fixed, [0.0]))
     checks.append(make_check("ode.vacuum_flag", "ode.vacuum",
@@ -295,13 +318,10 @@ def _run_potential(cfg: dict[str, Any], out_dir: str) -> tuple[list, list[str]]:
     checks = []
 
     four_pi = 4.0 * math.pi
-    two_pi_sq = 2.0 * math.pi ** 2
-    checks.append(make_check("potential.sphere_area_3d", "geometry.O2",
-                             es.unit_sphere_area(3), four_pi,
-                             1e-13 * four_pi))
-    checks.append(make_check("potential.sphere_area_4d", "geometry.O3",
-                             es.unit_sphere_area(4), two_pi_sq,
-                             1e-13 * two_pi_sq))
+    for nn, area in ((3, four_pi), (4, 2.0 * math.pi ** 2)):
+        checks.append(make_check(f"potential.sphere_area_{nn}d",
+                                 f"geometry.O{nn - 1}",
+                                 es.unit_sphere_area(nn), area, 1e-13 * area))
 
     worst = 0.0
     for nn in (3, 4, 5, 6):
@@ -395,9 +415,9 @@ def _run_potential(cfg: dict[str, Any], out_dir: str) -> tuple[list, list[str]]:
 
 def _run_classify(cfg: dict[str, Any], out_dir: str) -> tuple[list, list[str]]:
     checks = []
-    d4 = sym.dihedral_group(4)
-    winners = st.solve_steiner(st.square_terminals(1.0))
-    verdict = sym.classify_ssb(d4, [w.config() for w in winners], tol=1e-8)
+    winners = _square_networks(1.0)[1]
+    verdict = sym.classify_ssb(_d4(), [w.config() for w in winners],
+                               tol=1e-8)
     checks.append(make_check("classify.steiner_square",
                              "classify.square_networks",
                              verdict.kind.value, sym.SSBKind.NARROW.value))
@@ -408,18 +428,15 @@ def _run_classify(cfg: dict[str, Any], out_dir: str) -> tuple[list, list[str]]:
 
     square_cfg = sym.PointConfig(st.square_terminals(1.0),
                                  ((0, 1), (1, 2), (2, 3), (0, 3)))
-    unbroken = sym.classify_ssb(d4, [square_cfg])
+    unbroken = sym.classify_ssb(_d4(), [square_cfg])
     checks.append(make_check("classify.square_itself", "classify.control",
                              unbroken.kind.value, sym.SSBKind.UNBROKEN.value))
 
-    for problem, expected in (
-            (sc.SignFlipProblem.SQUARE_ROOTS, sym.SSBKind.NARROW),
-            (sc.SignFlipProblem.QUARTIC_ROOTS, sym.SSBKind.GENERAL),
-            (sc.SignFlipProblem.QUARTIC_MINIMA, sym.SSBKind.NARROW)):
-        verdict = sc.z2_verdict(problem)
+    for problem, expected in SIGN_FLIP_VERDICTS:
         checks.append(make_check(f"classify.{problem.value}",
                                  f"classify.{problem.value}",
-                                 verdict.kind.value, expected.value))
+                                 _z2_verdict(problem).kind.value,
+                                 expected.value))
     return checks, []
 
 
@@ -436,30 +453,26 @@ _RUNNERS = {
 def run_subcommand(name: str, config: dict[str, Any] | None = None,
                    out_dir: str = DEFAULT_OUT) -> RunManifest:
     """Run one subcommand (or 'all'), emit its plot data, return the manifest."""
-    if name == "all":
-        merged_cfg: dict[str, Any] = {}
-        checks: list = []
-        artifacts: list[str] = []
-        for sub in SUBCOMMANDS[:-1]:
-            sub_cfg = resolve_config(sub, config or {})
-            _validate_config(sub, sub_cfg)
-            merged_cfg[sub] = sub_cfg
-            sub_checks, sub_artifacts = _RUNNERS[sub](sub_cfg, out_dir)
-            checks.extend(sub_checks)
-            artifacts.extend(sub_artifacts)
-        seed = int((config or {}).get("seed", 0))
-        return RunManifest(subcommand="all", config=merged_cfg, seed=seed,
-                           version=__version__, reports=tuple(checks),
-                           artifacts=tuple(sorted(artifacts)))
-    if name not in _RUNNERS:
+    for fixture in (_d4, _square_networks, _z2_verdict):
+        fixture.cache_clear()
+    if name != "all" and name not in _RUNNERS:
         raise ValueError(f"unknown subcommand {name!r}")
-    cfg = resolve_config(name, config or {})
-    _validate_config(name, cfg)
+    cfgs = {sub: resolve_config(sub, config or {})
+            for sub in (_RUNNERS if name == "all" else [name])}
+    for sub, cfg in cfgs.items():
+        _validate_config(sub, cfg)
     os.makedirs(out_dir, exist_ok=True)
-    checks, artifacts = _RUNNERS[name](cfg, out_dir)
-    return RunManifest(subcommand=name, config=cfg,
-                       seed=int(cfg.get("seed", 0)), version=__version__,
-                       reports=tuple(checks),
+    checks: list = []
+    artifacts: list[str] = []
+    for sub, cfg in cfgs.items():
+        sub_checks, sub_artifacts = _RUNNERS[sub](cfg, out_dir)
+        checks.extend(sub_checks)
+        artifacts.extend(sub_artifacts)
+    # every subcommand with a seed resolves the same (validated) one
+    seed = next((cfg["seed"] for cfg in cfgs.values() if "seed" in cfg), 0)
+    return RunManifest(subcommand=name,
+                       config=cfgs if name == "all" else cfgs[name],
+                       seed=seed, version=__version__, reports=tuple(checks),
                        artifacts=tuple(sorted(artifacts)))
 
 
@@ -493,8 +506,9 @@ def _validate_config(name: str, cfg: dict[str, Any]) -> None:
         if not (_is_number(side) and side > 0):
             raise UsageError(f"square side must be a positive number, "
                              f"got {side!r}")
-        if cfg["terminals"] is not None:
-            _check_terminals(cfg["terminals"])
+        terminals = cfg["terminals"]
+        _check_terminals(st.square_terminals(side) if terminals is None
+                         else terminals)
     elif name == "ode":
         trials = cfg["trials"]
         if not (_is_int(trials) and trials >= 1):
@@ -515,16 +529,17 @@ def _validate_config(name: str, cfg: dict[str, Any]) -> None:
         except ValueError as exc:
             raise UsageError(str(exc)) from None
     elif name == "potential":
-        if not (_is_int(cfg["n"]) and cfg["n"] >= 2):
-            raise UsageError(f"dimension must be an integer >= 2, "
-                             f"got {cfg['n']!r}")
+        if not (_is_int(cfg["n"]) and 2 <= cfg["n"] <= MAX_POTENTIAL_DIM):
+            raise UsageError(f"dimension must be an integer from 2 to "
+                             f"{MAX_POTENTIAL_DIM}, got {cfg['n']!r}")
         if not _is_number(cfg["q"]):
             raise UsageError(f"charge must be a number, got {cfg['q']!r}")
+        lo, hi = SCALE_RANGE
         for key, what in (("mu", "reference radius"),
                           ("lam", "scale factor")):
-            if not (_is_number(cfg[key]) and cfg[key] > 0):
-                raise UsageError(f"{what} must be a positive number, "
-                                 f"got {cfg[key]!r}")
+            if not (_is_number(cfg[key]) and lo <= cfg[key] <= hi):
+                raise UsageError(f"{what} must be a number from {lo:g} to "
+                                 f"{hi:g}, got {cfg[key]!r}")
 
 
 def _check_terminals(value: Any) -> None:
@@ -536,8 +551,9 @@ def _check_terminals(value: Any) -> None:
         raise UsageError("terminals must be a JSON list of [x, y] pairs")
     if len(pts) not in (3, 4):
         raise UsageError(f"need 3 or 4 terminals, got {len(pts)}")
-    if not np.isfinite(pts).all():
-        raise UsageError("terminal coordinates must be finite")
+    if not np.all(np.abs(pts) <= MAX_COORDINATE):  # also false for NaN
+        raise UsageError(f"terminal coordinates must be finite and at most "
+                         f"{MAX_COORDINATE:g} in magnitude")
     try:
         sym.PointConfig(pts)
     except ValueError:
@@ -579,7 +595,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("steiner", parents=[common],
                        help="shortest networks and their residual symmetry")
-    p.add_argument("--square", type=float, default=None, metavar="SIDE",
+    p.add_argument("--square", dest="side", type=float, default=None,
+                   metavar="SIDE",
                    help="side of the centered square (default 1)")
     p.add_argument("--terminals", default=None, metavar="FILE",
                    help="JSON file [[x, y], ...] of 3 or 4 terminals")
@@ -596,9 +613,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("potential", parents=[common],
                        help="point charge in n dimensions")
-    p.add_argument("-n", "--dim", type=int, default=None,
+    p.add_argument("-n", "--dim", dest="n", type=int, default=None,
+                   metavar="DIM",
                    help="spatial dimension (default 3)")
-    p.add_argument("-q", "--charge", type=float, default=None,
+    p.add_argument("-q", "--charge", dest="q", type=float, default=None,
+                   metavar="CHARGE",
                    help="charge (default 1)")
     p.add_argument("--mu", type=float, default=None,
                    help="n=2 reference radius (default 1)")
@@ -613,24 +632,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides_from_args(args: argparse.Namespace) -> dict[str, Any]:
-    overrides: dict[str, Any] = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "square", None) is not None:
-        overrides["side"] = args.square
-    if getattr(args, "terminals", None) is not None:
-        overrides["terminals"] = _load_json(args.terminals,
+    """The settings given as flags (each flag's dest is its config key)."""
+    overrides = {key: value for key, value in vars(args).items()
+                 if value is not None and key in _CONFIG_KEYS}
+    if "terminals" in overrides:
+        overrides["terminals"] = _load_json(overrides["terminals"],
                                             "terminals file")
-    if getattr(args, "grid", None) is not None:
-        overrides["grid"] = args.grid
-    if getattr(args, "dim", None) is not None:
-        overrides["n"] = args.dim
-    if getattr(args, "charge", None) is not None:
-        overrides["q"] = args.charge
-    if getattr(args, "mu", None) is not None:
-        overrides["mu"] = args.mu
-    if getattr(args, "lam", None) is not None:
-        overrides["lam"] = args.lam
     return overrides
 
 

@@ -34,26 +34,8 @@ def unit_sphere_area(n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# problem and solution types
+# solution and scaling types
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PointChargeProblem:
-    """Charge q at the origin of n-dimensional space."""
-
-    n: int
-    q: float
-
-    def __post_init__(self) -> None:
-        if int(self.n) != self.n or self.n < 2:
-            raise ValueError(f"dimension must be an integer >= 2, "
-                             f"got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "q", float(self.q))
-
-    def solution(self, mu: float | None = None) -> PotentialSolution:
-        return PotentialSolution(n=self.n, q=self.q, mu=mu)
-
 
 @dataclass(frozen=True)
 class PotentialSolution:

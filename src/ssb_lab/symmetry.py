@@ -87,16 +87,6 @@ def reflection2d(axis_theta: float, label: str | None = None) -> OrthoTransform:
     return OrthoTransform(np.array([[c, s], [s, -c]]), label=label)
 
 
-def compose(a: OrthoTransform, b: OrthoTransform) -> OrthoTransform:
-    """The transform 'apply b, then a' (matrix product a @ b)."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    label = None
-    if a.label is not None and b.label is not None:
-        label = f"{a.label}*{b.label}"
-    return OrthoTransform(a.matrix @ b.matrix, label=label)
-
-
 def same_transform(a: OrthoTransform, b: OrthoTransform,
                    tol: float = MATCH_TOL) -> bool:
     if a.dim != b.dim:
@@ -286,11 +276,6 @@ def transform_config(t: OrthoTransform, c: PointConfig) -> PointConfig:
         raise ValueError(f"dimension mismatch: transform is {t.dim}-d, "
                          f"config is {c.dim}-d")
     return PointConfig(t.apply(c.points), c.edges)
-
-
-def total_edge_length(c: PointConfig) -> float:
-    return float(sum(np.linalg.norm(c.points[i] - c.points[j])
-                     for i, j in c.edges))
 
 
 def _match_points(src: np.ndarray, dst: np.ndarray,

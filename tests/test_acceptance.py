@@ -1,7 +1,9 @@
-"""Acceptance suite: the headline result of every demonstration, one test
-per criterion, each printing a single PASS/FAIL line (run with -s to watch).
+"""Acceptance suite: every check of ``ssb-lab all`` passes with the expected
+value and tolerance pinned below, one PASS/FAIL line per check (run with -s
+to watch).
 
-Tolerances are pinned here on purpose; loosening one is a contract change.
+``cli.py`` states how each claim is measured; this file pins what it must
+be compared against, independently.  Loosening a pin is a contract change.
 """
 
 from __future__ import annotations
@@ -10,19 +12,59 @@ import json
 import math
 import time
 
-import numpy as np
 import pytest
 
-from ssb_lab import electrostatics as es
-from ssb_lab import maxwell as mx
-from ssb_lab import ode
-from ssb_lab import scalar as sc
 from ssb_lab import steiner as st
-from ssb_lab import symmetry as sym
-from ssb_lab.cli import main
+from ssb_lab.cli import main, run_subcommand
 
-SQRT3 = math.sqrt(3.0)
-INV_SQRT2 = 1.0 / math.sqrt(2.0)
+FOUR_PI = 4.0 * math.pi
+TWO_PI_SQ = 2.0 * math.pi ** 2
+
+# check name -> (expected, tolerance); None marks an equality check
+PINS = {
+    "steiner.fermat_condition": (True, None),
+    "steiner.solution_count": (2, None),
+    "steiner.best_length": (1.0 + math.sqrt(3.0), 1e-9),
+    "steiner.x_guess_length": (math.sqrt(8.0), 1e-12),
+    "steiner.stabilizer_orders": ([4, 4], None),
+    "steiner.quarter_turn_swaps_solutions": (True, None),
+    "scalar.square_roots": (0.0, 1e-10),
+    "scalar.quartic_roots": (0.0, 1e-10),
+    "scalar.quartic_root_multiplicity": ([1, 2, 1], None),
+    "scalar.quartic_minima": (0.0, 1e-10),
+    "scalar.quartic_minimum_value": (0.0, 1e-12),
+    "scalar.verdict.square_roots": ("NarrowSSB", None),
+    "scalar.verdict.quartic_roots": ("GeneralSSB", None),
+    "scalar.symmetric_witness": (0.0, 1e-9),
+    "scalar.verdict.quartic_minima": ("NarrowSSB", None),
+    "ode.composition_law": (0.0, 1e-12),
+    "ode.doubling_shift": (2.0, 1e-12),
+    "ode.unique_fixed_point": ([0.0], None),
+    "ode.vacuum_flag": (True, None),
+    "maxwell.divergence_convergence": (4.0, 0.6),
+    "maxwell.evolution_convergence": (4.0, 0.6),
+    "maxwell.residuals_decrease": (True, None),
+    "maxwell.rescaling_linearity": (0.0, 1e-12),
+    "maxwell.vacuum_residual": (0.0, 0.0),
+    "potential.sphere_area_3d": (FOUR_PI, 1e-13 * FOUR_PI),
+    "potential.sphere_area_4d": (TWO_PI_SQ, 1e-13 * TWO_PI_SQ),
+    "potential.scaling_identity": (0.0, 1e-12),
+    "potential.log_anomaly": (0.0, 1e-13),
+    "potential.gauge_shift": (-math.log(2.0) / (2.0 * math.pi), 1e-13),
+    "potential.reference_moves": (0.5, 5e-14),
+    "potential.field_scaling": (0.0, 1e-13),
+    "potential.flux_2d": (0.0, 1e-9),
+    "potential.flux_3d": (0.0, 1e-6),
+    "potential.flux_identity": (0.0, 1e-13),
+    "potential.laplacian_convergence": (0.0, 0.5),
+    "potential.laplacian_residual_small": (0.0, 1e-4),
+    "classify.steiner_square": ("NarrowSSB", None),
+    "classify.steiner_square_witnesses": ([4, 4], None),
+    "classify.square_itself": ("Unbroken", None),
+    "classify.square_roots": ("NarrowSSB", None),
+    "classify.quartic_roots": ("GeneralSSB", None),
+    "classify.quartic_minima": ("NarrowSSB", None),
+}
 
 
 def _criterion(label: str, ok: bool, detail: str = "") -> None:
@@ -30,172 +72,50 @@ def _criterion(label: str, ok: bool, detail: str = "") -> None:
     assert ok, f"{label}: {detail}" if detail else label
 
 
+def _meets_pin(report) -> bool:
+    return (report.passed
+            and (report.expected, report.tolerance) == PINS[report.name])
+
+
+@pytest.fixture(scope="module")
+def reports(tmp_path_factory):
+    manifest = run_subcommand("all", {}, str(tmp_path_factory.mktemp("all")))
+    return manifest.reports
+
+
+def test_all_runs_exactly_the_pinned_checks(reports):
+    assert [r.name for r in reports] == list(PINS)
+
+
+@pytest.mark.parametrize("name", PINS)
+def test_claim(reports, name):
+    report = next((r for r in reports if r.name == name), None)
+    _criterion(name, report is not None and _meets_pin(report), repr(report))
+
+
+def test_maxwell_residuals(tmp_path):
+    reports = run_subcommand("maxwell", {"grid": 64}, str(tmp_path)).reports
+    failed = [r for r in reports if not _meets_pin(r)]
+    _criterion("maxwell on grids 16, 32, 64: residuals drop by 4 from 32 to "
+               "64, scale linearly under complex factors, vanish on the "
+               "vacuum", not failed, repr(failed))
+
+
+def test_two_dimensional_anomaly(tmp_path):
+    reports = run_subcommand("potential", {"q": 3.0}, str(tmp_path)).reports
+    anomaly = next(r for r in reports if r.name == "potential.log_anomaly")
+    _criterion("2d log potential with q = 3: rescaling shifts by "
+               "-(q/2 pi) ln lambda", _meets_pin(anomaly), repr(anomaly))
+
+
 def test_square_steiner_networks():
     t0 = time.monotonic()
-    nets = st.solve_steiner(st.square_terminals(1.0))
+    lengths = [n.total_length for n in st.solve_steiner(st.square_terminals())]
     elapsed = time.monotonic() - t0
-    problems = []
-    if len(nets) != 2:
-        problems.append(f"found {len(nets)} minimizers")
-    for net in nets:
-        if abs(net.total_length - (1.0 + SQRT3)) > 1e-9:
-            problems.append(f"length {net.total_length}")
-    d4 = sym.dihedral_group(4)
-    orders = [st.residual_symmetry(n, d4).order for n in nets]
-    if orders != [4, 4]:
-        problems.append(f"stabilizer orders {orders}")
-    if len(nets) == 2:
-        turned = sym.transform_config(sym.rotation2d(math.pi / 2.0),
-                                      nets[0].config())
-        if not sym.config_equal(turned, nets[1].config(), tol=1e-8):
-            problems.append("quarter turn fails to map the solutions")
-    crosses = [n for n in st.optimize_all(st.square_terminals(1.0))
-               if n.topology.merged and n.topology.n_steiner == 1]
-    if not crosses or abs(crosses[0].total_length - math.sqrt(8.0)) > 1e-12:
-        problems.append("diagonal pairing did not settle on the sqrt(8) X")
-    if elapsed >= 1.0:
-        problems.append(f"took {elapsed:.2f}s")
-    _criterion("square Steiner pair: length 1+sqrt(3), order-4 stabilizers, "
-               "quarter-turn partners, sqrt(8) X guess, under 1s",
-               not problems, "; ".join(problems))
-
-
-def test_scalar_verdicts_and_minima():
-    problems = []
-    cases = ((sc.SignFlipProblem.SQUARE_ROOTS, sym.SSBKind.NARROW),
-             (sc.SignFlipProblem.QUARTIC_ROOTS, sym.SSBKind.GENERAL),
-             (sc.SignFlipProblem.QUARTIC_MINIMA, sym.SSBKind.NARROW))
-    for problem, want in cases:
-        got = sc.z2_verdict(problem).kind
-        if got is not want:
-            problems.append(f"{problem.value}: {got.value}")
-    minima = sorted(sc.stable_minima(sc.DOUBLE_WELL))
-    if len(minima) != 2 or max(abs(m - e) for m, e in
-                               zip(minima, (-INV_SQRT2, INV_SQRT2))) > 1e-10:
-        problems.append(f"minima {minima}")
-    _criterion("sign-flip verdicts Narrow/General/Narrow with minima at "
-               "+/- 1/sqrt(2)", not problems, "; ".join(problems))
-
-
-def test_ode_translation_group():
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(1000):
-        c, a, b = rng.uniform(-5.0, 5.0, size=3)
-        two = ode.translate_solution(ode.translate_solution(c, a), b)
-        one = ode.translate_solution(c, a + b)
-        worst = max(worst, abs(two - one) / max(abs(one), 1e-300))
-    fixed = [c for c in np.linspace(-5.0, 5.0, 41)
-             if all(abs(ode.translate_solution(float(c), a) - c) <= 1e-14
-                    for a in (1.0, -1.0, 0.1, -0.1))]
-    ok = worst <= 1e-12 and fixed == [0.0]
-    _criterion("exponential family: 1000 translation compositions at 1e-12 "
-               "and a unique fixed solution",
-               ok, f"worst rel err {worst:.2e}, fixed set {fixed}")
-
-
-def test_maxwell_residuals():
-    rows = mx.convergence_study((1, 2, 2), (32, 64))
-    div_ratio = rows[0][2] / rows[1][2]
-    evo_ratio = rows[0][3] / rows[1][3]
-    problems = []
-    for name, ratio in (("divergence", div_ratio), ("evolution", evo_ratio)):
-        if not 3.4 <= ratio <= 4.6:
-            problems.append(f"{name} ratio {ratio:.3f}")
-    spec = mx.make_helicity_wave((1, 2, 2))
-    f_t, f_plus, f_minus, dt = mx.wave_snapshots(spec, 32)
-    base = mx.maxwell_residual(f_t, f_plus, f_minus, dt)
-    for z in (1j, 2.0 - 3.0j):
-        scaled = mx.maxwell_residual(mx.scale_field(f_t, z),
-                                     mx.scale_field(f_plus, z),
-                                     mx.scale_field(f_minus, z), dt)
-        for got, ref in zip(scaled, base):
-            if abs(got - abs(z) * ref) > 1e-12 * abs(z) * ref:
-                problems.append(f"rescaling by {z} broke linearity")
-    zero = mx.zero_field(8)
-    if mx.maxwell_residual(zero, zero, zero, dt) != (0.0, 0.0):
-        problems.append("vacuum residual is not exactly zero")
-    _criterion("plane-wave residuals drop by 4 from grid 32 to 64, scale "
-               "linearly under complex factors, vanish on the vacuum",
-               not problems, "; ".join(problems))
-
-
-def test_potential_scaling_identity():
-    worst = 0.0
-    for n in (3, 4, 5, 6):
-        sol = es.PotentialSolution(n=n, q=1.0)
-        for lam in (0.5, 2.0, 10.0):
-            for r in (0.1, 1.0, 7.0):
-                lhs = lam ** (n - 2) * es.potential(sol, lam * r)
-                rhs = es.potential(sol, r)
-                worst = max(worst, abs(lhs - rhs) / abs(rhs))
-    four_pi_err = abs(es.unit_sphere_area(3) - 4.0 * math.pi) / (4.0 * math.pi)
-    two_pi2_err = abs(es.unit_sphere_area(4) - 2.0 * math.pi ** 2) \
-        / (2.0 * math.pi ** 2)
-    ok = worst <= 1e-12 and four_pi_err <= 1e-13 and two_pi2_err <= 1e-13
-    _criterion("power-law potentials: scaling identity at 1e-12 across "
-               "n=3..6 and sphere areas 4 pi, 2 pi^2",
-               ok, f"worst rel {worst:.2e}, areas {four_pi_err:.2e}, "
-                   f"{two_pi2_err:.2e}")
-
-
-def test_two_dimensional_anomaly():
-    problems = []
-    for q in (1.0, 3.0):
-        sol = es.PotentialSolution(n=2, q=q)
-        for lam in (0.5, 2.0, math.e, 10.0):
-            want = -(q / (2.0 * math.pi)) * math.log(lam)
-            for r in (0.3, 1.0, 4.7):
-                shift = es.potential(sol, lam * r) - es.potential(sol, r)
-                if abs(shift - want) > 1e-13:
-                    problems.append(f"shift off by {abs(shift - want):.2e}")
-            lhs = es.field_magnitude(sol, lam * 1.0)
-            rhs = es.field_magnitude(sol, 1.0) / lam
-            if abs(lhs - rhs) > 1e-13 * abs(rhs):
-                problems.append("field does not scale as 1/lambda")
-    _, unit = es.apply_scaling(es.PotentialSolution(n=2, q=2.0 * math.pi),
-                               es.ScalingTransform(math.e))
-    if abs(unit + 1.0) > 1e-13:
-        problems.append(f"q=2 pi, lambda=e gave shift {unit}")
-    _criterion("2d log potential: rescaling shifts by -(q/2 pi) ln lambda "
-               "(unit case -1) and the field scales as 1/lambda",
-               not problems, "; ".join(problems))
-
-
-def test_gauss_law():
-    problems = []
-    for q in (1.0, 3.0, -2.0):
-        for radius in (0.5, 1.0, 5.0):
-            flux2 = es.flux_integral(es.PotentialSolution(n=2, q=q), radius)
-            if abs(flux2 - q) > 1e-9:
-                problems.append(f"2d flux err {abs(flux2 - q):.2e}")
-            flux3 = es.flux_integral(es.PotentialSolution(n=3, q=q), radius)
-            if abs(flux3 - q) > 1e-6:
-                problems.append(f"3d flux err {abs(flux3 - q):.2e}")
-            for n in range(2, 9):
-                enc = es.enclosed_charge(es.PotentialSolution(n=n, q=q),
-                                         radius)
-                if abs(enc - q) > 1e-13 * max(1.0, abs(q)):
-                    problems.append(f"n={n} identity err {abs(enc - q):.2e}")
-    _criterion("Gauss law: quadrature flux recovers q at 1e-9 (2d) and "
-               "1e-6 (3d); the analytic identity holds to n=8",
-               not problems, "; ".join(problems))
-
-
-def test_laplacian_stencil():
-    directions = {2: np.array([3.0, 4.0]) / 5.0,
-                  3: np.array([2.0, 3.0, 6.0]) / 7.0,
-                  4: np.array([1.0, 2.0, 2.0, 4.0]) / 5.0}
-    problems = []
-    for n, x in directions.items():
-        sol = es.PotentialSolution(n=n, q=1.0)
-        res = [abs(es.laplacian_residual(sol, x, h))
-               for h in (1e-2, 5e-3, 2.5e-3)]
-        for a, b in zip(res, res[1:]):
-            if not 3.5 <= a / b <= 4.5:
-                problems.append(f"n={n} ratio {a / b:.3f}")
-    _criterion("away from the charge the stencil residual falls by 4 per "
-               "halving of h in n=2, 3, 4", not problems, "; ".join(problems))
+    ok = (len(lengths) == 2 and elapsed < 1.0
+          and all(abs(x - (1.0 + math.sqrt(3.0))) <= 1e-9 for x in lengths))
+    _criterion("square Steiner pair: both of length 1+sqrt(3), under 1s",
+               ok, f"lengths {lengths}, took {elapsed:.2f}s")
 
 
 def test_command_line_contract(tmp_path):

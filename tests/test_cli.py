@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hyp
 
 import ssb_lab
-from ssb_lab import cli, scalar
+from ssb_lab import cli, scalar, steiner, symmetry
 from ssb_lab import maxwell as mx
 from ssb_lab.cli import main, resolve_config, run_subcommand
 from ssb_lab.report import (CheckReport, RunManifest, make_check,
@@ -76,7 +82,9 @@ def test_non_finite_measurements_are_null_and_fail():
 
 def test_forced_failing_check_writes_strict_json(tmp_path, monkeypatch):
     # one minimum instead of two: scalar.quartic_minima cannot be measured
-    monkeypatch.setattr(scalar, "stable_minima", lambda p, tol=None: [0.7])
+    one = scalar.CriticalPoint(location=0.7, kind=scalar.CriticalKind.MINIMUM,
+                               value=-0.2)
+    monkeypatch.setattr(scalar, "critical_points", lambda p, tol=None: [one])
     assert main(["scalar", "--out", str(tmp_path)]) == 1
     text = (tmp_path / "manifest_scalar.json").read_text()
     parsed = json.loads(text, parse_constant=_reject_constant)
@@ -236,7 +244,9 @@ def test_bad_config_file_exits_two(tmp_path):
 
 
 def _exits_two_with_one_line(argv, capsys):
-    assert main(argv) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning is a second stderr line
+        assert main(argv) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1, err
     assert "Traceback" not in err
@@ -251,8 +261,9 @@ def _exits_two_with_one_line(argv, capsys):
     '{"terminals": [[0, 0], [1, 0], [0, 1]]}',
     "[0, 1, 2]",
     "[[0, 0, 0], [1, 0, 0], [0, 1, 0]]",
+    "[[1e300, 0], [0, 1e300], [-1e300, 0]]",
 ], ids=["two", "five", "duplicate", "nan", "infinite", "object", "flat",
-        "three_d"])
+        "three_d", "huge"])
 def test_bad_terminals_file_exits_two(tmp_path, capsys, text):
     src = tmp_path / "terminals.json"
     src.write_text(text)
@@ -267,7 +278,10 @@ def test_missing_terminals_file_exits_two(tmp_path, capsys):
                               "--out", str(tmp_path)], capsys)
 
 
-@pytest.mark.parametrize("side", ["nan", "0", "-1.5", "inf"])
+# 1e-11: the corners coincide within the matching tolerance; 1e154 and
+# 1e300: squared distances overflow
+@pytest.mark.parametrize("side", ["nan", "0", "-1.5", "inf", "1e-11",
+                                  "1e154", "1e300"])
 def test_bad_square_side_exits_two(tmp_path, capsys, side):
     _exits_two_with_one_line(["steiner", "--square", side,
                               "--out", str(tmp_path)], capsys)
@@ -292,14 +306,21 @@ def test_maxwell_grid_below_two_levels_exits_two(tmp_path, capsys, grid):
     ["potential", "-n", "0"],
     ["potential", "--lambda", "0"],
     ["ode", "--seed", "-1"],
-], ids=["dim_1", "dim_0", "lambda_0", "negative_seed"])
+    ["potential", "-n", "180"],
+    ["potential", "-n", "344"],
+    ["potential", "--lambda", "1e65"],
+    ["potential", "--lambda", "1e-70"],
+    ["potential", "--mu", "5e-324"],
+    ["potential", "--mu", "1e300", "--lambda", "1e-60"],
+], ids=["dim_1", "dim_0", "lambda_0", "negative_seed", "dim_180", "dim_344",
+        "lambda_1e65", "lambda_1e-70", "mu_5e-324", "mu_1e300"])
 def test_out_of_range_settings_exit_two(tmp_path, capsys, argv):
     _exits_two_with_one_line([*argv, "--out", str(tmp_path)], capsys)
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("k", [[0, 0, 0], [1, 2], "ab"],
-                         ids=["zero", "two_components", "string"])
+@pytest.mark.parametrize("k", [[0, 0, 0], [1, 2], "ab", [1e300, 0, 0]],
+                         ids=["zero", "two_components", "string", "huge"])
 def test_bad_maxwell_wave_vector_exits_two(tmp_path, capsys, k):
     cfg = tmp_path / "settings.json"
     cfg.write_text(json.dumps({"k": k}))
@@ -307,6 +328,20 @@ def test_bad_maxwell_wave_vector_exits_two(tmp_path, capsys, k):
     _exits_two_with_one_line(["maxwell", "--config", str(cfg),
                               "--out", str(out)], capsys)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["potential", "-n", "179"],
+    ["potential", "--lambda", "1e60", "-n", "6"],
+    ["potential", "--lambda", "1e-60", "--mu", "1e60", "-n", "2"],
+    ["potential", "--mu", "1e-60"],
+    ["steiner", "--square", "2e150"],
+], ids=["dim_179", "lambda_1e60", "lambda_1e-60", "mu_1e-60", "square_2e150"])
+def test_settings_at_the_bounds_run(tmp_path, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--out", str(tmp_path)]) in (0, 1)
+    assert (tmp_path / f"manifest_{argv[0]}.json").exists()
 
 
 def test_axis_aligned_maxwell_wave_fails_without_a_crash(tmp_path):
@@ -350,6 +385,28 @@ def test_maxwell_samples_each_level_once(tmp_path, monkeypatch):
     monkeypatch.setattr(mx, "sample_plane_wave", counted)
     assert main(["maxwell", "--grid", "32", "--out", str(tmp_path)]) == 0
     assert sorted(calls) == [8] * 3 + [16] * 3 + [32] * 3
+
+
+def test_all_computes_each_shared_fixture_once(tmp_path, monkeypatch):
+    calls = []
+    for module, name in ((steiner, "optimize_all"),
+                         (symmetry, "dihedral_group"),
+                         (scalar, "z2_verdict")):
+        def counted(*args, _name=name, _function=getattr(module, name)):
+            calls.append(_name)
+            return _function(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    assert run_subcommand("all", {}, str(tmp_path)).all_passed()
+    assert sorted(calls) == ["dihedral_group", "optimize_all",
+                             "z2_verdict", "z2_verdict", "z2_verdict"]
+
+
+def test_all_treats_a_null_seed_as_not_given(tmp_path):
+    cfg = tmp_path / "settings.json"
+    cfg.write_text(json.dumps({"seed": None}))
+    assert main(["all", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert _read_manifest(tmp_path / "manifest_all.json")["seed"] == 0
 
 
 def test_config_file_values_are_validated_too(tmp_path, capsys):
@@ -435,3 +492,64 @@ def test_module_entry_point_subprocess(tmp_path):
     usage = subprocess.run([sys.executable, "-m", "ssb_lab", "nonsense"],
                            capture_output=True, text=True, env=env)
     assert usage.returncode == 2
+
+
+# ---------------------------------------------------------------------------
+# every input has a defined outcome
+# ---------------------------------------------------------------------------
+
+_FLOATS = hyp.floats()  # the full exponent range, nan and +-inf included
+_VALUES = hyp.one_of(hyp.none(), hyp.booleans(), _FLOATS,
+                     hyp.text(max_size=4),
+                     hyp.lists(hyp.one_of(hyp.integers(-3, 3), _FLOATS),
+                               max_size=4))
+# grids and trials are bounded so that one example stays cheap
+_INTS = {"grid": hyp.integers(max_value=16),
+         "trials": hyp.integers(max_value=200)}
+_SHAPED = {"terminals": hyp.lists(hyp.lists(_FLOATS, min_size=2, max_size=2),
+                                  min_size=3, max_size=4),
+           "k": hyp.lists(hyp.one_of(hyp.integers(), _FLOATS),
+                          min_size=3, max_size=3)}
+_FLAGS = {"steiner": {"--square": _FLOATS},
+          "maxwell": {"--grid": _INTS["grid"]},
+          "potential": {"--dim": hyp.integers(), "--charge": _FLOATS,
+                        "--mu": _FLOATS, "--lambda": _FLOATS}}
+
+
+@hyp.composite
+def _invocations(draw):
+    sub = draw(hyp.sampled_from(sorted(cli.DEFAULTS)))
+    argv = [sub]
+    for flag, values in {"--seed": hyp.integers(),
+                         **_FLAGS.get(sub, {})}.items():
+        if draw(hyp.booleans()):
+            argv.append(f"{flag}={draw(values)!r}")
+    config = {}
+    for key in cli.DEFAULTS[sub]:
+        if draw(hyp.booleans()):
+            config[key] = draw(hyp.one_of(_VALUES,
+                                          _INTS.get(key, hyp.integers()),
+                                          _SHAPED.get(key, _VALUES)))
+    return argv, config
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_invocations())
+def test_every_invocation_has_a_defined_outcome(invocation):
+    argv, config = invocation
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "settings.json")
+        with open(path, "w") as handle:
+            json.dump(config, handle)
+        out = os.path.join(tmp, "out")
+        # a stray numpy warning would reach the user's terminal
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error")
+            code = main([*argv, "--config", path, "--out", out])
+        wrote = os.path.exists(os.path.join(out, f"manifest_{argv[0]}.json"))
+    assert code in (0, 1, 2)
+    assert wrote == (code <= 1)
+    if code == 2:
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()

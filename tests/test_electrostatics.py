@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssb_lab.electrostatics import (PointChargeProblem, PotentialSolution,
+from ssb_lab.electrostatics import (PotentialSolution,
                                     ScalingTransform, apply_scaling,
                                     enclosed_charge, field_magnitude,
                                     field_vector, flux_integral,
@@ -79,11 +79,6 @@ def test_mu_rejected_above_two_dimensions():
 def test_dimension_must_be_at_least_two():
     with pytest.raises(ValueError):
         PotentialSolution(n=1, q=1.0)
-
-
-def test_problem_builds_its_solution():
-    sol = PointChargeProblem(n=4, q=2.0).solution()
-    assert (sol.n, sol.q, sol.mu) == (4, 2.0, None)
 
 
 def test_radius_must_be_positive():
@@ -178,6 +173,14 @@ def test_scaling_in_two_dimensions_shifts_by_a_constant():
     for r in (0.2, 1.0, 6.0):
         assert potential(scaled, r) == pytest.approx(
             potential(sol, r) + shift, rel=1e-13)
+
+
+@pytest.mark.parametrize("lam", [0.5, 2.0, math.e, 10.0])
+@pytest.mark.parametrize("q", [1.0, 3.0])
+def test_two_dimensional_field_scales_as_one_over_lambda(q, lam):
+    sol = PotentialSolution(n=2, q=q)
+    assert field_magnitude(sol, lam) == pytest.approx(
+        field_magnitude(sol, 1.0) / lam, rel=1e-13)
 
 
 def test_unit_charge_and_log_scale_give_unit_shift():
