@@ -17,6 +17,7 @@ dF/dt = -i curl F.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,30 +211,33 @@ def _ddx(values: np.ndarray, axis: int, h: float,
     return np.divide(out, 2.0 * h, out=out)
 
 
-def _curl_component(v: np.ndarray, c: int, h: float, out: np.ndarray,
+def _curl_component(component: Callable[[int], np.ndarray], c: int,
+                    h: float, out: np.ndarray,
                     scratch: np.ndarray) -> np.ndarray:
     """Component c of the curl, d_i v_j - d_j v_i with (c, i, j) cyclic,
-    written into ``out``; ``scratch`` is an (N, N, N) work buffer."""
+    written into ``out``; ``component(j)`` returns v_j as an (N, N, N) array,
+    and ``scratch`` is an (N, N, N) work buffer."""
     i, j = (c + 1) % 3, (c + 2) % 3
-    _ddx(v[..., j], i, h, out)
-    _ddx(v[..., i], j, h, scratch)
+    _ddx(component(j), i, h, out)
+    _ddx(component(i), j, h, scratch)
     return np.subtract(out, scratch, out=out)
 
 
-def _divergence(v: np.ndarray, h: float, out: np.ndarray,
-                scratch: np.ndarray) -> np.ndarray:
-    """d_0 v_0 + d_1 v_1 + d_2 v_2 written into ``out``; ``scratch`` is an
-    (N, N, N) work buffer."""
-    _ddx(v[..., 0], 0, h, out)
+def _divergence(component: Callable[[int], np.ndarray], h: float,
+                out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """d_0 v_0 + d_1 v_1 + d_2 v_2 written into ``out``; ``component`` and
+    ``scratch`` are as in ``_curl_component``."""
+    _ddx(component(0), 0, h, out)
     for axis in (1, 2):
-        out += _ddx(v[..., axis], axis, h, scratch)
+        out += _ddx(component(axis), axis, h, scratch)
     return out
 
 
 def discrete_div(f: ComplexFieldGrid) -> np.ndarray:
     """Central-difference divergence, an (N, N, N) complex field."""
     out = np.empty(f.values.shape[:3], dtype=complex)
-    return _divergence(f.values, f.spacing, out, np.empty_like(out))
+    return _divergence(lambda c: f.values[..., c], f.spacing, out,
+                       np.empty_like(out))
 
 
 def discrete_curl(f: ComplexFieldGrid) -> np.ndarray:
@@ -242,21 +246,29 @@ def discrete_curl(f: ComplexFieldGrid) -> np.ndarray:
     out = np.empty_like(v)
     scratch = np.empty(v.shape[:3], dtype=complex)
     for c in range(3):
-        _curl_component(v, c, h, out[..., c], scratch)
+        _curl_component(lambda j: v[..., j], c, h, out[..., c], scratch)
     return out
 
 
 def maxwell_residual(f_t: ComplexFieldGrid, f_plus: ComplexFieldGrid,
-                     f_minus: ComplexFieldGrid,
-                     dt: float) -> tuple[float, float]:
-    """(divergence norm, evolution norm) of the discretized vacuum equations.
+                     f_minus: ComplexFieldGrid, dt: float, *,
+                     z: complex | None = None) -> tuple[float, float]:
+    """(divergence norm, evolution norm) of the discretized vacuum equations
+    for F, or for z * F when the nonzero complex ``z`` is given.
 
     The divergence norm is max |div F| over the grid; the evolution norm is
     max over the grid of the vector magnitude of
     (F(t+dt) - F(t-dt)) / (2 dt) + i curl F(t), which vanishes for an exact
     solution up to O(h^2) + O(dt^2).  Both are computed one vector component
-    at a time in four (N, N, N) work buffers.
+    at a time in (N, N, N) work buffers: two complex and two real ones, 48
+    bytes per grid point.  With ``z``, a third complex one (64 bytes per
+    point in all) receives each component of z * F just before a stencil
+    reads it, so z * F is never stored whole.  Its products are those of
+    ``scale_field``, so the norms equal those of the scaled snapshots bit
+    for bit.
     """
+    if z is not None:
+        z = _symmetry_factor(z)
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     for other in (f_plus, f_minus):
@@ -264,20 +276,29 @@ def maxwell_residual(f_t: ComplexFieldGrid, f_plus: ComplexFieldGrid,
             raise ValueError("snapshot grids differ in shape")
         if other.spacing != f_t.spacing:
             raise ValueError("snapshot grids differ in spacing")
-    v, h = f_t.values, f_t.spacing
-    a = np.empty(v.shape[:3], dtype=complex)
+    h = f_t.spacing
+    a = np.empty(f_t.values.shape[:3], dtype=complex)
     b = np.empty_like(a)
+    s = None if z is None else np.empty_like(a)
     mag = np.empty(a.shape)
     total = np.zeros(a.shape)
 
-    div_norm = float(np.max(np.abs(_divergence(v, h, a, b), out=mag)))
+    def read(f: ComplexFieldGrid, c: int, buf: np.ndarray) -> np.ndarray:
+        """Component c of z * f (computed into ``buf``), or of f itself."""
+        x = f.values[..., c]
+        return x if z is None else np.multiply(z, x, out=buf)
+
+    def snapshot(c: int) -> np.ndarray:
+        return read(f_t, c, s)
+
+    div_norm = float(np.max(np.abs(_divergence(snapshot, h, a, b), out=mag)))
 
     # the operations and operand order of (F+ - F-) / 2dt + 1j * curl F,
     # so each component is the same to the last bit as the whole-field form
     for c in range(3):
-        _curl_component(v, c, h, a, b)
+        _curl_component(snapshot, c, h, a, b)
         np.multiply(1j, a, out=a)
-        np.subtract(f_plus.values[..., c], f_minus.values[..., c], out=b)
+        np.subtract(read(f_plus, c, s), read(f_minus, c, b), out=b)
         np.divide(b, 2.0 * dt, out=b)
         np.add(b, a, out=b)
         total += np.square(np.abs(b, out=mag), out=mag)
@@ -297,10 +318,16 @@ def scale_field(f: ComplexFieldGrid, z: complex) -> ComplexFieldGrid:
     (E, B) -> (-B, E); a general z = a + ib mixes them linearly.  z = 0 is
     rejected because it is not a symmetry (it forgets the solution).
     """
+    return ComplexFieldGrid._adopt(_symmetry_factor(z) * f.values,
+                                   f.spacing, f.time)
+
+
+def _symmetry_factor(z: complex) -> complex:
+    """``z`` as a complex number; ValueError for 0, which is no symmetry."""
     z = complex(z)
     if z == 0:
         raise ValueError("z = 0 does not act on solutions invertibly")
-    return ComplexFieldGrid._adopt(z * f.values, f.spacing, f.time)
+    return z
 
 
 def zero_field(n_grid: int = DEFAULT_GRID, time: float = 0.0) -> ComplexFieldGrid:

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 
 import pytest
@@ -228,13 +229,21 @@ def test_output_dir_from_environment(tmp_path, monkeypatch):
     assert (target / "manifest_ode.json").exists()
 
 
-def test_usage_errors_exit_two():
-    with pytest.raises(SystemExit) as exc:
-        main(["bogus"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main([])
-    assert exc.value.code == 2
+def test_usage_errors_exit_two(capsys):
+    for argv in (["bogus"], [], ["steiner", "--square", "x"],
+                 ["ode", "--bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("ssb-lab")
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_unusable_output_directory_exits_two(tmp_path, capsys, out):
+    (tmp_path / "file").write_text("")
+    _exits_two_with_one_line(["scalar", "--out", str(tmp_path / out)], capsys)
 
 
 def test_bad_config_file_exits_two(tmp_path):
@@ -374,6 +383,21 @@ def test_maxwell_grid_over_the_memory_budget_exits_two(tmp_path, capsys,
                                          "k": [1, 2, 2]})
 
 
+def test_maxwell_peak_memory_is_the_budgeted_bytes_per_point(tmp_path):
+    # numpy reports its buffers to tracemalloc, so the traced peak of a run
+    # is what MAXWELL_BYTES_PER_POINT claims, within the small arrays and
+    # interpreter objects a run also holds
+    n = 64
+    cfg = resolve_config("maxwell", {"grid": n})
+    tracemalloc.start()
+    try:
+        cli._run_maxwell(cfg, str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.95 <= peak / (cli.MAXWELL_BYTES_PER_POINT * n ** 3) <= 1.03
+
+
 def test_maxwell_samples_each_level_once(tmp_path, monkeypatch):
     calls = []
     sample = mx.sample_plane_wave
@@ -400,6 +424,21 @@ def test_all_computes_each_shared_fixture_once(tmp_path, monkeypatch):
     assert run_subcommand("all", {}, str(tmp_path)).all_passed()
     assert sorted(calls) == ["dihedral_group", "optimize_all",
                              "z2_verdict", "z2_verdict", "z2_verdict"]
+
+
+@pytest.mark.parametrize("argv, failing", [
+    (["-q", "1e308"], ["potential.scaling_identity"]),
+    (["-q", "1e308", "--lambda", "0.5"],
+     ["potential.scaling_identity", "potential.field_scaling"]),
+], ids=["q_1e308", "q_1e308_lambda_0.5"])
+def test_a_nan_error_fails_its_check(tmp_path, argv, failing):
+    # these charges overflow some potentials or fields to inf, and
+    # inf / inf is a NaN error: the check fails instead of passing over it
+    assert main(["potential", *argv, "--out", str(tmp_path)]) == 1
+    manifest = _read_manifest(tmp_path / "manifest_potential.json")
+    for name in failing:
+        report = _report_by_name(manifest, name)
+        assert report["measured"] is None and not report["pass"]
 
 
 def test_all_treats_a_null_seed_as_not_given(tmp_path):
@@ -514,6 +553,16 @@ _FLAGS = {"steiner": {"--square": _FLOATS},
           "maxwell": {"--grid": _INTS["grid"]},
           "potential": {"--dim": hyp.integers(), "--charge": _FLOATS,
                         "--mu": _FLOATS, "--lambda": _FLOATS}}
+# raw command line words: no digits, so a word given to a numeric flag is
+# never a number (at most inf or nan) and cannot start an expensive run
+_WORDS = hyp.text(hyp.characters(blacklist_categories=("Cs", "Nd"),
+                                 blacklist_characters="-\x00"), max_size=4)
+# flags of some subcommand, and flags of none; --out is left out so that a
+# run never writes outside its temporary directory
+_RAW_TOKENS = hyp.one_of(_WORDS, hyp.sampled_from([
+    "--seed", "--config", "--json", "--square", "--terminals", "--grid",
+    "-n", "--dim", "-q", "--charge", "--mu", "--lambda", "--bogus", "-z",
+    "--"]))
 
 
 @hyp.composite
@@ -530,25 +579,43 @@ def _invocations(draw):
             config[key] = draw(hyp.one_of(_VALUES,
                                           _INTS.get(key, hyp.integers()),
                                           _SHAPED.get(key, _VALUES)))
-    return argv, config
+    # half of the command lines are spoiled in one way: a word that names
+    # no subcommand, raw words among the flags, or an --out that names a
+    # regular file or a path under one
+    out = "out"
+    spoil = draw(hyp.sampled_from(["", "", "", "subcommand", "words", "out"]))
+    if spoil == "subcommand":
+        argv[0] = draw(_WORDS)
+    elif spoil == "words":
+        for _ in range(draw(hyp.integers(1, 3))):
+            argv.insert(draw(hyp.integers(1, len(argv))), draw(_RAW_TOKENS))
+    elif spoil == "out":
+        out = draw(hyp.sampled_from(["file", "file/sub"]))
+    return argv, config, out
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
+@settings(derandomize=True, deadline=None, max_examples=300)
 @given(_invocations())
 def test_every_invocation_has_a_defined_outcome(invocation):
-    argv, config = invocation
+    argv, config, out = invocation
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "settings.json")
         with open(path, "w") as handle:
             json.dump(config, handle)
-        out = os.path.join(tmp, "out")
+        with open(os.path.join(tmp, "file"), "w"):
+            pass
+        out = os.path.join(tmp, out)
         # a stray numpy warning would reach the user's terminal
         with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
                 contextlib.redirect_stdout(io.StringIO()):
             warnings.simplefilter("error")
-            code = main([*argv, "--config", path, "--out", out])
-        wrote = os.path.exists(os.path.join(out, f"manifest_{argv[0]}.json"))
+            try:
+                code = main([*argv, "--config", path, "--out", out])
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        wrote = os.path.isdir(out) and any(
+            name.startswith("manifest_") for name in os.listdir(out))
     assert code in (0, 1, 2)
     assert wrote == (code <= 1)
     if code == 2:

@@ -3,7 +3,7 @@
 Central differences turn exp(i k.x) into an eigenfunction: the discrete
 d/dx_j pulls down i sin(k_j h)/h instead of i k_j.  Both residual norms of a
 sampled plane wave therefore have closed forms, which these tests compute
-independently and compare against the grid computation at ~1e-12.
+independently and compare against the grid computation to rounding.
 """
 
 from __future__ import annotations
@@ -208,16 +208,31 @@ def test_snapshots_are_centered_in_time():
 # residuals against the closed forms
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("k", [(1, 2, 2), (3, -1, 2)])
-@pytest.mark.parametrize("n_grid", [8, 16])
+@pytest.mark.parametrize("k", [(1, 2, 2), (3, -1, 2), (3, 0, 1), (1, 1, 1),
+                               (2, -1, 5)])
+@pytest.mark.parametrize("n_grid", [8, 16, 32, 64])
 def test_residual_norms_match_closed_form(k, n_grid):
-    spec = make_helicity_wave(k)
+    eps_mach = np.finfo(float).eps
+    # the residual shrinks like h^2 while stencil rounding grows like 1/h
+    rel = eps_mach * n_grid ** 3
+    # the discrete wave numbers s are parallel to k, and so exactly
+    # transverse to eps, when the nonzero |k_j| agree: div F is then 0
+    div_is_zero = len({abs(kj) for kj in k if kj}) == 1
+    spec = make_helicity_wave(k, amplitude=0.3 - 1.2j)
     f_t, f_plus, f_minus, dt = wave_snapshots(spec, n_grid)
-    div_norm, evo_norm = maxwell_residual(f_t, f_plus, f_minus, dt)
     div_ref, evo_ref, dt_ref = _closed_form_norms(spec, n_grid)
     assert dt == pytest.approx(dt_ref, rel=1e-15)
-    assert div_norm == pytest.approx(div_ref, rel=1e-11, abs=1e-13)
-    assert evo_norm == pytest.approx(evo_ref, rel=1e-11, abs=1e-13)
+    for z in (None, 1j, 2.0 - 3.0j):
+        scale = 1.0 if z is None else abs(z)
+        div_norm, evo_norm = maxwell_residual(f_t, f_plus, f_minus, dt, z=z)
+        if div_is_zero:
+            # each sampled phase k.x rounds by up to eps 2pi |k|_1, and each
+            # of the three difference quotients divides by 2h = 4pi/N
+            assert div_norm <= 3 * eps_mach * sum(map(abs, k)) * n_grid \
+                * scale * abs(spec.amplitude)
+        else:
+            assert div_norm == pytest.approx(scale * div_ref, rel=rel)
+        assert evo_norm == pytest.approx(scale * evo_ref, rel=rel)
 
 
 @settings(derandomize=True, deadline=None)
@@ -313,9 +328,38 @@ def test_rescaling_scales_residuals_linearly():
             assert got == pytest.approx(abs(z) * ref, rel=1e-12)
 
 
+@pytest.mark.parametrize("n_grid", [4, 7, 16, 32])
+@pytest.mark.parametrize("z", [1j, 2.0 - 3.0j, -1e-7, 1e150j, 1.0 + 1e-300j])
+def test_rescaled_residual_equals_residual_of_scaled_copies(n_grid, z):
+    # complex multiplication is elementwise: scaling one component at a
+    # time inside the residual gives the bits of the scaled snapshots
+    for k in WAVE_VECTORS:
+        spec = make_helicity_wave(k, amplitude=0.6 - 0.8j)
+        *fields, dt = wave_snapshots(spec, n_grid)
+        scaled = [scale_field(f, z) for f in fields]
+        assert maxwell_residual(*fields, dt, z=z) \
+            == maxwell_residual(*scaled, dt)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_GRID_SIZES, st.booleans(), _SEEDS,
+       st.complex_numbers(min_magnitude=1e-100, max_magnitude=1e100))
+def test_rescaled_residual_of_random_fields_is_bit_identical(
+        n, component_major, seed, z):
+    rng = np.random.default_rng(seed)
+    h, dt = rng.uniform(0.01, 2.0, size=2)
+    fields = [ComplexFieldGrid(_random_field(rng, n, component_major), h, 0.0)
+              for _ in range(3)]
+    assert maxwell_residual(*fields, dt, z=z) \
+        == maxwell_residual(*[scale_field(f, z) for f in fields], dt)
+
+
 def test_scaling_by_zero_rejected():
     with pytest.raises(ValueError):
         scale_field(zero_field(4), 0.0)
+    zero = zero_field(4)
+    with pytest.raises(ValueError, match="z = 0"):
+        maxwell_residual(zero, zero, zero, 0.1, z=0)
 
 
 def test_multiplication_by_i_swaps_electric_and_magnetic():
