@@ -3,7 +3,7 @@
 Five model problems share one question: the problem has a symmetry group,
 does each individual solution keep all of it?  The pieces:
 
-- ``steiner``: shortest networks connecting square/triangle corners
+- ``steiner``: shortest networks connecting a square's corners, or 3-4 points
 - ``scalar``: polynomial roots and minima under the sign flip
 - ``ode``: the exponential solution family and its translation action
 - ``maxwell``: vacuum plane waves, grid residuals, complex rescaling

@@ -15,6 +15,7 @@ The field magnitude q / (2 pi r) still scales like every other dimension.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -165,6 +166,16 @@ def laplacian_residual(sol: PotentialSolution, point: np.ndarray,
     return acc
 
 
+@functools.cache
+def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per count
+    and read-only, so no caller can change the cached copy."""
+    nodes, weights = np.polynomial.legendre.leggauss(m)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def flux_integral(sol: PotentialSolution, radius: float,
                   quad_points: int | None = None) -> float:
     """Numerical flux of E through the origin-centered sphere of ``radius``.
@@ -190,7 +201,7 @@ def flux_integral(sol: PotentialSolution, radius: float,
         m = DEFAULT_QUAD_POINTS_3D if quad_points is None else int(quad_points)
         if m < 2:
             raise ValueError(f"need at least 2 quadrature points, got {m}")
-        u, w = np.polynomial.legendre.leggauss(m)  # u = cos(theta)
+        u, w = _gauss_legendre(m)  # u = cos(theta)
         n_phi = 2 * m
         phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
         s = np.sqrt(np.maximum(0.0, 1.0 - u * u))[:, None]

@@ -3,10 +3,13 @@
 For a fixed tree topology the total edge length is a convex function of the
 free junction coordinates, so every candidate topology is minimized on its
 own and the global optima are collected afterwards.  Candidates are the full
-Steiner topologies (every junction of degree 3; for four terminals these are
-the three ways of pairing the terminals) plus all spanning trees on the
-terminals alone.  At this size each topology's minimum has a closed form
-(Gilbert & Pollak 1968, SIAM J. Appl. Math. 16:1):
+Steiner topologies only: every junction of degree 3, one junction for three
+terminals and, for four, the three ways of pairing the terminals.  A
+spanning tree on the terminals alone needs no separate candidate, because it
+is a full topology with its junctions put on terminals: a star puts them on
+its hub, a path puts each on an inner vertex (Gilbert & Pollak 1968, SIAM J.
+Appl. Math. 16:1).  At this size each topology's minimum over all such
+placements has a closed form:
 
 - three terminals: the Fermat-Torricelli point, where the three edges meet
   at 120 degrees, or the vertex whose angle is at least 120 degrees;
@@ -32,7 +35,6 @@ the square's center exchanges those two.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -134,44 +136,20 @@ class SteinerTopology:
         return sorted(out)
 
 
-def _tree_from_pruefer(seq: tuple[int, ...], n: int) -> tuple[tuple[int, int], ...]:
-    degree = [1] * n
-    for v in seq:
-        degree[v] += 1
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for v in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, v))
-        degree[v] -= 1
-        if degree[v] == 1:
-            heapq.heappush(leaves, v)
-    u = heapq.heappop(leaves)
-    w = heapq.heappop(leaves)
-    edges.append((u, w))
-    return tuple(sorted((min(i, j), max(i, j)) for i, j in edges))
-
-
 def enumerate_topologies(n_terminals: int) -> list[SteinerTopology]:
-    """Full Steiner topologies first, then every spanning tree on the
-    terminals (3^1 = 3 of them for n=3, 4^2 = 16 for n=4, by Cayley)."""
+    """The full Steiner topologies: one star for n=3, three pairings for n=4.
+
+    Every spanning tree on the terminals is one of them with its junctions on
+    terminals, so the closed-form minima already cover it.
+    """
     if n_terminals not in (3, 4):
         raise ValueError(f"supported terminal counts are 3 and 4, "
                          f"got {n_terminals}")
-    topologies: list[SteinerTopology] = []
     if n_terminals == 3:
-        topologies.append(SteinerTopology(3, 1, ((0, 3), (1, 3), (2, 3))))
-    else:
-        pairings = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
-        for (a1, a2), (b1, b2) in pairings:
-            edges = ((a1, 4), (a2, 4), (b1, 5), (b2, 5), (4, 5))
-            topologies.append(SteinerTopology(4, 2, edges))
-    spanning = {_tree_from_pruefer(seq, n_terminals)
-                for seq in np.ndindex(*([n_terminals] * (n_terminals - 2)))}
-    for edges in sorted(spanning):
-        topologies.append(SteinerTopology(n_terminals, 0, edges))
-    return topologies
+        return [SteinerTopology(3, 1, ((0, 3), (1, 3), (2, 3)))]
+    pairings = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
+    return [SteinerTopology(4, 2, ((a1, 4), (a2, 4), (b1, 5), (b2, 5), (4, 5)))
+            for (a1, a2), (b1, b2) in pairings]
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +376,6 @@ def optimize_topology(topology: SteinerTopology,
     m = topology.n_terminals
     if m != len(pts):
         raise ValueError("terminal count does not match topology")
-    if topology.n_steiner == 0:
-        return _assemble(topology, pts)
     if topology.merged or topology.n_steiner != m - 2:
         raise ValueError("closed forms cover the enumerated topologies only")
     if m == 3:
@@ -452,12 +428,6 @@ def select_minima(nets: list[SteinerNetwork],
     return winners
 
 
-def solve_steiner(terminals: np.ndarray) -> list[SteinerNetwork]:
-    """All global minimizers (within DEGENERACY_TOL of the best length),
-    geometrically deduplicated, in topology enumeration order."""
-    return select_minima(optimize_all(terminals))
-
-
 # ---------------------------------------------------------------------------
 # checks and symmetry hooks
 # ---------------------------------------------------------------------------
@@ -496,13 +466,3 @@ def square_terminals(side: float = 1.0) -> np.ndarray:
         raise ValueError(f"side must be positive, got {side}")
     h = side / 2.0
     return np.array([[-h, -h], [h, -h], [h, h], [-h, h]])
-
-
-def triangle_terminals(side: float = 1.0) -> np.ndarray:
-    """Equilateral triangle centered at the origin with a vertex on the
-    positive x-axis (matching the reflection axes of dihedral_group(3))."""
-    if side <= 0:
-        raise ValueError(f"side must be positive, got {side}")
-    r = side / math.sqrt(3.0)
-    angles = [0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0]
-    return np.array([[r * math.cos(a), r * math.sin(a)] for a in angles])

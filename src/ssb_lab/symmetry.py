@@ -2,11 +2,11 @@
 
 Group elements are explicit n x n orthogonal matrices acting linearly about
 the origin.  Configurations meant to be analysed for symmetry should therefore
-be positioned with their symmetry center at the origin (the square and
-triangle helpers elsewhere in this package already are).  Equality of group
-elements is max-norm matrix distance below a tolerance; invariance of a point
-configuration is a greedy nearest-neighbour matching that is then verified to
-be a bijection and, if edges are present, to permute the edge set.
+be positioned with their symmetry center at the origin, as the square of
+``steiner.square_terminals`` is.  Equality of group elements is max-norm
+matrix distance below a tolerance; invariance of a point configuration is a
+greedy nearest-neighbour matching that is then verified to be a bijection
+and, if edges are present, to permute the edge set.
 
 The classification at the bottom turns a problem group and a list of solution
 configurations into a verdict: unbroken symmetry (every solution keeps the
@@ -181,15 +181,6 @@ def verify_group_axioms(g: FiniteGroup, tol: float = MATCH_TOL) -> GroupCheck:
     return GroupCheck(ok=not violations, violations=tuple(violations))
 
 
-def _checked(elements: list[OrthoTransform]) -> FiniteGroup:
-    g = FiniteGroup(tuple(elements))
-    check = verify_group_axioms(g)
-    if not check.ok:  # constructors below always produce genuine groups
-        raise RuntimeError(f"constructed element set fails group axioms: "
-                           f"{check.violations}")
-    return g
-
-
 def dihedral_group(k: int) -> FiniteGroup:
     """Rotations by multiples of 2*pi/k plus k reflections (order 2k)."""
     if k < 1:
@@ -201,7 +192,7 @@ def dihedral_group(k: int) -> FiniteGroup:
     for j in range(k):
         deg = 180.0 * j / k
         elements.append(reflection2d(np.pi * j / k, label=f"m{deg:g}"))
-    return _checked(elements)
+    return FiniteGroup(tuple(elements))
 
 
 def cyclic_group(k: int) -> FiniteGroup:
@@ -210,15 +201,15 @@ def cyclic_group(k: int) -> FiniteGroup:
         raise ValueError(f"k must be >= 1, got {k}")
     elements = [rotation2d(2.0 * np.pi * j / k, label=f"r{360.0 * j / k:g}")
                 for j in range(k)]
-    return _checked(elements)
+    return FiniteGroup(tuple(elements))
 
 
 def sign_flip_group() -> FiniteGroup:
     """The two-element group {+1, -1} acting on the real line."""
-    return _checked([
+    return FiniteGroup((
         OrthoTransform(np.array([[1.0]]), label="e"),
         OrthoTransform(np.array([[-1.0]]), label="flip"),
-    ])
+    ))
 
 
 # ---------------------------------------------------------------------------

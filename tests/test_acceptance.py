@@ -104,13 +104,19 @@ def test_maxwell_residuals(tmp_path):
 def test_two_dimensional_anomaly(tmp_path):
     reports = run_subcommand("potential", {"q": 3.0}, str(tmp_path)).reports
     anomaly = next(r for r in reports if r.name == "potential.log_anomaly")
+    # the tolerance grows with |q|, but the error stays within the q = 1 pin
+    expected, tolerance = PINS[anomaly.name]
+    ok = (anomaly.passed and anomaly.expected == expected
+          and anomaly.tolerance == tolerance * 3.0
+          and anomaly.measured <= tolerance)
     _criterion("2d log potential with q = 3: rescaling shifts by "
-               "-(q/2 pi) ln lambda", _meets_pin(anomaly), repr(anomaly))
+               "-(q/2 pi) ln lambda", ok, repr(anomaly))
 
 
 def test_square_steiner_networks():
     t0 = time.monotonic()
-    lengths = [n.total_length for n in st.solve_steiner(st.square_terminals())]
+    winners = st.select_minima(st.optimize_all(st.square_terminals()))
+    lengths = [n.total_length for n in winners]
     elapsed = time.monotonic() - t0
     ok = (len(lengths) == 2 and elapsed < 1.0
           and all(abs(x - (1.0 + math.sqrt(3.0))) <= 1e-9 for x in lengths))

@@ -441,6 +441,17 @@ def test_a_nan_error_fails_its_check(tmp_path, argv, failing):
         assert report["measured"] is None and not report["pass"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["-q", "1e6"], ["-q", "1e200"], ["-n", "2", "-q", "1e6"],
+], ids=["q_1e6", "q_1e200", "n_2_q_1e6"])
+def test_large_charges_pass_every_potential_check(tmp_path, argv):
+    # the absolute errors grow with |q| from rounding alone, and so do the
+    # tolerances of the checks that take them
+    assert main(["potential", *argv, "--out", str(tmp_path)]) == 0
+    reports = _read_manifest(tmp_path / "manifest_potential.json")["reports"]
+    assert len(reports) == 12 and all(r["pass"] for r in reports)
+
+
 def test_all_treats_a_null_seed_as_not_given(tmp_path):
     cfg = tmp_path / "settings.json"
     cfg.write_text(json.dumps({"seed": None}))

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssb_lab.electrostatics import (PotentialSolution,
-                                    ScalingTransform, apply_scaling,
+from ssb_lab.electrostatics import (DEFAULT_QUAD_POINTS_3D, PotentialSolution,
+                                    ScalingTransform, _gauss_legendre,
+                                    apply_scaling,
                                     enclosed_charge, field_magnitude,
                                     field_vector, flux_integral,
                                     laplacian_residual, potential,
@@ -216,6 +217,16 @@ def test_flux_quad_points_override():
     sol = PotentialSolution(n=3, q=1.0)
     assert flux_integral(sol, 1.0, quad_points=16) == pytest.approx(1.0,
                                                                     abs=1e-4)
+
+
+def test_gauss_legendre_nodes_are_cached_read_only():
+    nodes, weights = _gauss_legendre(DEFAULT_QUAD_POINTS_3D)
+    assert _gauss_legendre(DEFAULT_QUAD_POINTS_3D)[0] is nodes
+    fresh = np.polynomial.legendre.leggauss(DEFAULT_QUAD_POINTS_3D)
+    for cached, want in zip((nodes, weights), fresh):
+        np.testing.assert_array_equal(cached, want)
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 0.0
 
 
 _CHARGES = st.floats(-5.0, 5.0).filter(lambda q: q != 0.0)

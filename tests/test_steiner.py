@@ -19,14 +19,19 @@ from hypothesis import strategies as hst
 from ssb_lab.steiner import (SteinerNetwork, SteinerTopology,
                              check_fermat_condition, enumerate_topologies,
                              optimize_all, optimize_topology,
-                             residual_symmetry, select_minima, solve_steiner,
-                             square_terminals, triangle_terminals)
+                             residual_symmetry, select_minima,
+                             square_terminals)
 from ssb_lab.symmetry import (PointConfig, classify_ssb, config_equal,
                               dihedral_group, rotation2d, transform_config,
                               SSBKind)
 
 SQRT3 = math.sqrt(3.0)
 Y0 = 0.5 - 1.0 / (2.0 * SQRT3)  # junction offset for the unit square
+# side-1 equilateral triangle centered at the origin, a vertex on the positive
+# x-axis (matching the reflection axes of dihedral_group(3))
+TRIANGLE = np.array([[math.cos(a), math.sin(a)]
+                     for a in (0.0, 2.0 * math.pi / 3.0,
+                               4.0 * math.pi / 3.0)]) / SQRT3
 
 
 def _mst_length(points: np.ndarray) -> float:
@@ -49,18 +54,18 @@ def _mst_length(points: np.ndarray) -> float:
 
 def test_three_terminal_topologies():
     topos = enumerate_topologies(3)
-    assert len(topos) == 4
-    assert topos[0].n_steiner == 1  # the full topology comes first
-    assert all(t.n_steiner == 0 for t in topos[1:])
+    assert len(topos) == 1  # the full topology: one junction, three edges
+    assert topos[0].n_steiner == 1
+    assert topos[0].edges == ((0, 3), (1, 3), (2, 3))
 
 
 def test_four_terminal_topologies():
     topos = enumerate_topologies(4)
-    assert len(topos) == 19
-    full = [t for t in topos if t.n_steiner == 2]
-    spanning = [t for t in topos if t.n_steiner == 0]
-    assert len(full) == 3
-    assert len(spanning) == 16  # Cayley: 4^2 labeled trees
+    assert len(topos) == 3  # the full topologies: the three pairings
+    assert all(t.n_steiner == 2 and not t.merged for t in topos)
+    # junction 4 joins the first pair of terminals, junction 5 the second
+    pairings = [(t.neighbours(4)[:2], t.neighbours(5)[:2]) for t in topos]
+    assert pairings == [([0, 1], [2, 3]), ([0, 2], [1, 3]), ([0, 3], [1, 2])]
 
 
 def test_unsupported_terminal_counts():
@@ -100,7 +105,7 @@ def test_neighbours_are_sorted():
 
 @pytest.fixture(scope="module")
 def square_solutions():
-    return solve_steiner(square_terminals(1.0))
+    return select_minima(optimize_all(square_terminals(1.0)))
 
 
 def test_square_has_two_shortest_networks(square_solutions):
@@ -169,18 +174,18 @@ def test_diagonal_pairing_collapses_to_an_x(square_solutions):
 
 
 def test_square_scales_linearly():
-    nets = solve_steiner(square_terminals(2.5))
+    nets = select_minima(optimize_all(square_terminals(2.5)))
     assert nets[0].total_length == pytest.approx(2.5 * (1.0 + SQRT3),
                                                  abs=1e-8)
 
 
 def test_rotated_square_keeps_the_length():
     rng = np.random.default_rng(3)
-    base = solve_steiner(square_terminals(1.0))[0].total_length
+    base = select_minima(optimize_all(square_terminals(1.0)))[0].total_length
     for theta in rng.uniform(0.0, 2.0 * math.pi, size=10):
         rot = rotation2d(float(theta))
         terminals = rot.apply(square_terminals(1.0))
-        nets = solve_steiner(terminals)
+        nets = select_minima(optimize_all(terminals))
         assert nets[0].total_length == pytest.approx(base, abs=1e-8)
 
 
@@ -189,7 +194,7 @@ def test_rotated_square_keeps_the_length():
 # ---------------------------------------------------------------------------
 
 def test_equilateral_triangle_meets_at_the_centroid():
-    nets = solve_steiner(triangle_terminals(1.0))
+    nets = select_minima(optimize_all(TRIANGLE))
     assert len(nets) == 1
     net = nets[0]
     assert net.total_length == pytest.approx(SQRT3, abs=1e-9)
@@ -199,14 +204,14 @@ def test_equilateral_triangle_meets_at_the_centroid():
 
 def test_triangle_network_is_fully_symmetric():
     d3 = dihedral_group(3)
-    nets = solve_steiner(triangle_terminals(1.0))
+    nets = select_minima(optimize_all(TRIANGLE))
     verdict = classify_ssb(d3, [n.config() for n in nets], tol=1e-7)
     assert verdict.kind is SSBKind.UNBROKEN
 
 
 def test_collinear_terminals_merge_onto_the_middle():
     terminals = np.array([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
-    nets = solve_steiner(terminals)
+    nets = select_minima(optimize_all(terminals))
     assert len(nets) == 1
     assert nets[0].total_length == pytest.approx(2.0, abs=1e-9)
     assert nets[0].topology.n_steiner == 0 or nets[0].topology.merged
@@ -270,10 +275,15 @@ def test_single_topology_optimization_is_deterministic():
 
 
 def test_merged_topologies_are_not_optimized():
+    # a spanning tree is a full topology with its junctions on terminals,
+    # which the closed forms already place
     merged = SteinerTopology(4, 1, ((0, 4), (1, 4), (2, 4), (3, 4)),
                              merged=True)
-    with pytest.raises(ValueError):
-        optimize_topology(merged, square_terminals(1.0))
+    spanning = SteinerTopology(3, 0, ((0, 1), (1, 2)))
+    for topology, terminals in ((merged, square_terminals(1.0)),
+                                (spanning, TRIANGLE)):
+        with pytest.raises(ValueError, match="closed forms"):
+            optimize_topology(topology, terminals)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +293,8 @@ def test_merged_topologies_are_not_optimized():
 def test_wide_angle_puts_the_junction_on_the_vertex():
     # the angle at the origin is 150 degrees, so no junction helps
     far = (math.cos(5.0 * math.pi / 6.0), math.sin(5.0 * math.pi / 6.0))
-    nets = solve_steiner(np.array([[0.0, 0.0], [1.0, 0.0], far]))
+    terminals = np.array([[0.0, 0.0], [1.0, 0.0], far])
+    nets = select_minima(optimize_all(terminals))
     assert len(nets) == 1
     assert nets[0].total_length == pytest.approx(2.0, abs=1e-12)
     assert nets[0].topology.n_steiner == 0 and nets[0].topology.merged
@@ -295,7 +306,7 @@ def test_angle_just_below_120_degrees_stays_well_formed(below):
     # rounding spoils its 120-degree condition the vertex is used instead
     t = 2.0 * math.pi / 3.0 - below
     terminals = np.array([[0.0, 0.0], [1.0, 0.0], [math.cos(t), math.sin(t)]])
-    nets = solve_steiner(terminals)
+    nets = select_minima(optimize_all(terminals))
     assert nets[0].total_length == pytest.approx(2.0, abs=1e-12)
     for net in nets:
         assert check_fermat_condition(net, tol=1e-9).ok
@@ -313,8 +324,8 @@ def test_junction_next_to_a_terminal_is_contracted():
 
 
 def test_terminal_inside_the_triangle_becomes_the_hub():
-    terminals = np.vstack([triangle_terminals(1.0), [[0.0, 0.0]]])
-    nets = solve_steiner(terminals)
+    terminals = np.vstack([TRIANGLE, [[0.0, 0.0]]])
+    nets = select_minima(optimize_all(terminals))
     assert len(nets) == 1
     assert nets[0].total_length == pytest.approx(SQRT3, abs=1e-12)
     assert nets[0].topology.n_steiner == 0
@@ -357,7 +368,7 @@ def _separated(points: list) -> np.ndarray:
 def test_smt_lies_between_the_steiner_ratio_and_the_mst(points):
     term = _separated(points)
     mst = _mst_length(term)
-    for net in solve_steiner(term):
+    for net in select_minima(optimize_all(term)):
         assert net.total_length <= mst + 1e-9
         # Gilbert-Pollak (n = 3) and Pollak 1978 (n = 4)
         assert net.total_length >= SQRT3 / 2.0 * mst - 1e-9
@@ -366,7 +377,7 @@ def test_smt_lies_between_the_steiner_ratio_and_the_mst(points):
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(_TERMINAL_SETS)
 def test_winners_meet_at_120_degrees(points):
-    for net in solve_steiner(_separated(points)):
+    for net in select_minima(optimize_all(_separated(points))):
         check = check_fermat_condition(net, tol=1e-9)
         assert check.max_residual <= 1e-9
 
@@ -375,9 +386,9 @@ def test_winners_meet_at_120_degrees(points):
 @given(_TERMINAL_SETS)
 def test_best_length_is_invariant_under_the_square_group(points):
     term = _separated(points)
-    base = solve_steiner(term)[0].total_length
+    base = select_minima(optimize_all(term))[0].total_length
     for g in dihedral_group(4).elements:
-        moved = solve_steiner(g.apply(term))[0].total_length
+        moved = select_minima(optimize_all(g.apply(term)))[0].total_length
         assert moved == pytest.approx(base, abs=1e-9)
 
 
@@ -386,8 +397,9 @@ def test_best_length_is_invariant_under_the_square_group(points):
 def test_best_length_is_invariant_under_rigid_motions(points, theta, dx, dy):
     term = _separated(points)
     moved = rotation2d(theta).apply(term) + np.array([dx, dy])
-    assert (solve_steiner(moved)[0].total_length
-            == pytest.approx(solve_steiner(term)[0].total_length, abs=1e-9))
+    base = select_minima(optimize_all(term))[0].total_length
+    assert (select_minima(optimize_all(moved))[0].total_length
+            == pytest.approx(base, abs=1e-9))
 
 
 # Terminal sets (steiner_random benchmark inputs, seeds 1-10) on which the
@@ -430,7 +442,7 @@ _FORMER_FAILURES = [
                          ids=[case[0] for case in _FORMER_FAILURES])
 def test_former_optimizer_failures(points, length):
     term = np.array(points)
-    winners = solve_steiner(term)
+    winners = select_minima(optimize_all(term))
     mst = _mst_length(term)
     for net in winners:
         assert check_fermat_condition(net, tol=1e-9).ok

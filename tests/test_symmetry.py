@@ -76,11 +76,15 @@ def test_two_reflections_make_a_rotation():
 # groups
 # ---------------------------------------------------------------------------
 
+# the constructors do not check the axioms themselves; associativity is
+# checked on every triple up to order 16, so for every Dk up to D8
 @pytest.mark.parametrize("group,order", [
     (dihedral_group(3), 6),
     (dihedral_group(4), 8),
     (cyclic_group(5), 5),
     (sign_flip_group(), 2),
+    *((dihedral_group(k), 2 * k) for k in range(1, 17)),
+    *((cyclic_group(k), k) for k in range(1, 17)),
 ])
 def test_standard_groups_satisfy_axioms(group, order):
     assert group.order == order
