@@ -64,10 +64,10 @@ _CONFIG_KEYS = frozenset().union(*DEFAULTS.values())
 # maxwell compares residuals on grids N/4, N/2 and N (each at least 4 points
 # per axis); N >= 5 gives the two distinct levels a convergence ratio needs
 MIN_MAXWELL_GRID = 5
-# peak bytes per grid point of a maxwell run: the finest level's three
-# (N, N, N, 3) complex snapshots, plus the rescaled residual's three complex
-# and two real (N, N, N) work buffers (it scales one component at a time)
-MAXWELL_BYTES_PER_POINT = 3 * 3 * 16 + 3 * 16 + 2 * 8
+# bytes per grid point of the finest level's three (N, N, N, 3) complex
+# snapshots, which a maxwell run holds at its peak; the residual computed on
+# them adds slab buffers of O(N^2) bytes (maxwell_peak_bytes)
+MAXWELL_BYTES_PER_POINT = 3 * 3 * 16
 MAXWELL_MEMORY_BUDGET = 4 * 2 ** 30
 # squared distances overflow (past 1.8e308) from coordinates of about 1e154
 MAX_COORDINATE = 1e150
@@ -509,6 +509,12 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def maxwell_peak_bytes(grid: int) -> int:
+    """Peak bytes of the arrays of a maxwell run on a grid^3 grid: the
+    finest level's snapshots and the residual's slab buffers."""
+    return MAXWELL_BYTES_PER_POINT * grid ** 3 + mx.residual_buffer_bytes(grid)
+
+
 def _validate_config(name: str, cfg: dict[str, Any]) -> None:
     """Raise UsageError for a resolved config no run can handle."""
     for key, value in cfg.items():
@@ -535,7 +541,7 @@ def _validate_config(name: str, cfg: dict[str, Any]) -> None:
         if not (_is_int(grid) and grid >= MIN_MAXWELL_GRID):
             raise UsageError(f"grid must be an integer >= {MIN_MAXWELL_GRID}"
                              f", got {grid!r}")
-        peak = MAXWELL_BYTES_PER_POINT * grid ** 3
+        peak = maxwell_peak_bytes(grid)
         if peak > MAXWELL_MEMORY_BUDGET:
             raise UsageError(f"grid {grid} needs about {peak / 2**30:.1f} GiB"
                              f", over the {MAXWELL_MEMORY_BUDGET / 2**30:g} "

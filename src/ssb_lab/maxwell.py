@@ -17,7 +17,8 @@ dF/dt = -i curl F.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,54 +200,109 @@ def wave_snapshots(spec: PlaneWaveSpec, n_grid: int = DEFAULT_GRID,
 # stencils
 # ---------------------------------------------------------------------------
 
-def _ddx(values: np.ndarray, axis: int, h: float,
+# x-planes per slab: the stencils walk the grid one slab at a time, so their
+# operands stay in cache instead of streaming whole (N, N, N) arrays
+_SLAB = 8
+# a slab whose largest evolution component exceeds this in magnitude has
+# its squares summed at an exact power-of-two scale, so they cannot overflow
+_RESCALE_ABOVE = 2.0 ** 500
+
+
+def _work(n_grid: int, count: int, dtype: type = complex) -> np.ndarray:
+    """``count`` uninitialized work buffers of one slab, (count, S, N, N)."""
+    return np.empty((count, min(_SLAB, n_grid), n_grid, n_grid), dtype=dtype)
+
+
+def residual_buffer_bytes(n_grid: int) -> int:
+    """Bytes of the buffers ``maxwell_residual`` allocates on an n_grid^3
+    grid: per point of a slab's x-plane, three complex components with two
+    halo planes, three complex work buffers and three real ones."""
+    m = min(_SLAB, n_grid)
+    return (3 * (m + 2) * 16 + m * (3 * 16 + 3 * 8)) * n_grid ** 2
+
+
+def _slabs(f: ComplexFieldGrid, z: complex | None = None
+           ) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Walk ``f`` in slabs of at most ``_SLAB`` x-planes.
+
+    Yields (x0, x1, v), where v[c] holds component c of f, or of z * f when
+    ``z`` is given, on the periodic x-planes x0 - 1, x0, ..., x1: the slab's
+    planes x0 to x1 - 1 plus one halo plane on each side.  v is one buffer,
+    overwritten by the next slab.
+    """
+    values, n = f.values, f.n_grid
+    buf = np.empty((3, min(_SLAB, n) + 2, n, n), dtype=complex)
+    for x0 in range(0, n, _SLAB):
+        x1 = min(x0 + _SLAB, n)
+        v = buf[:, :x1 - x0 + 2]
+        for c in range(3):
+            comp = values[..., c]
+            # plane x0 - 1 = -1 is the last one
+            for src, dst in ((comp[x0 - 1], v[c, 0]),
+                             (comp[x0:x1], v[c, 1:-1]),
+                             (comp[x1 % n], v[c, -1])):
+                if z is None:
+                    np.copyto(dst, src)
+                else:
+                    np.multiply(z, src, out=dst)
+        yield x0, x1, v
+
+
+def _ddx(slab: np.ndarray, axis: int, h: float,
          out: np.ndarray) -> np.ndarray:
-    """Periodic central difference of an (N, N, N) field along ``axis``,
-    written into ``out``: (v[i+1] - v[i-1]) / 2h with wrapped ends."""
-    v = np.moveaxis(values, axis, 0)
-    o = np.moveaxis(out, axis, 0)
-    np.subtract(v[2:], v[:-2], out=o[1:-1])
-    np.subtract(v[1], v[-1], out=o[0])
-    np.subtract(v[0], v[-2], out=o[-1])
+    """Periodic central difference (v[i+1] - v[i-1]) / 2h along ``axis`` of
+    one component of a slab from ``_slabs``, written into ``out`` for the
+    slab's planes: along x the halo planes are the outer neighbours, along
+    y and z the ends wrap."""
+    if axis == 0:
+        np.subtract(slab[2:], slab[:-2], out=out)
+    else:
+        v = np.moveaxis(slab[1:-1], axis, 0)
+        o = np.moveaxis(out, axis, 0)
+        np.subtract(v[2:], v[:-2], out=o[1:-1])
+        np.subtract(v[1], v[-1], out=o[0])
+        np.subtract(v[0], v[-2], out=o[-1])
     return np.divide(out, 2.0 * h, out=out)
 
 
-def _curl_component(component: Callable[[int], np.ndarray], c: int,
-                    h: float, out: np.ndarray,
+def _curl_component(v: np.ndarray, c: int, h: float, out: np.ndarray,
                     scratch: np.ndarray) -> np.ndarray:
-    """Component c of the curl, d_i v_j - d_j v_i with (c, i, j) cyclic,
-    written into ``out``; ``component(j)`` returns v_j as an (N, N, N) array,
-    and ``scratch`` is an (N, N, N) work buffer."""
+    """Component c of the curl of a slab v from ``_slabs``,
+    d_i v_j - d_j v_i with (c, i, j) cyclic, written into ``out``;
+    ``scratch`` is a work buffer of the same shape."""
     i, j = (c + 1) % 3, (c + 2) % 3
-    _ddx(component(j), i, h, out)
-    _ddx(component(i), j, h, scratch)
+    _ddx(v[j], i, h, out)
+    _ddx(v[i], j, h, scratch)
     return np.subtract(out, scratch, out=out)
 
 
-def _divergence(component: Callable[[int], np.ndarray], h: float,
-                out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """d_0 v_0 + d_1 v_1 + d_2 v_2 written into ``out``; ``component`` and
-    ``scratch`` are as in ``_curl_component``."""
-    _ddx(component(0), 0, h, out)
+def _divergence(v: np.ndarray, h: float, out: np.ndarray,
+                scratch: np.ndarray) -> np.ndarray:
+    """d_0 v_0 + d_1 v_1 + d_2 v_2 of a slab v, written into ``out``; the
+    arguments are as in ``_curl_component``."""
+    _ddx(v[0], 0, h, out)
     for axis in (1, 2):
-        out += _ddx(component(axis), axis, h, scratch)
+        out += _ddx(v[axis], axis, h, scratch)
     return out
 
 
 def discrete_div(f: ComplexFieldGrid) -> np.ndarray:
     """Central-difference divergence, an (N, N, N) complex field."""
     out = np.empty(f.values.shape[:3], dtype=complex)
-    return _divergence(lambda c: f.values[..., c], f.spacing, out,
-                       np.empty_like(out))
+    scratch = _work(f.n_grid, 1)[0]
+    for x0, x1, v in _slabs(f):
+        _divergence(v, f.spacing, out[x0:x1], scratch[:x1 - x0])
+    return out
 
 
 def discrete_curl(f: ComplexFieldGrid) -> np.ndarray:
     """Central-difference curl, an (N, N, N, 3) complex field."""
-    v, h = f.values, f.spacing
-    out = np.empty_like(v)
-    scratch = np.empty(v.shape[:3], dtype=complex)
-    for c in range(3):
-        _curl_component(lambda j: v[..., j], c, h, out[..., c], scratch)
+    out = np.empty_like(f.values)
+    scratch = _work(f.n_grid, 1)[0]
+    for x0, x1, v in _slabs(f):
+        for c in range(3):
+            _curl_component(v, c, f.spacing, out[x0:x1, ..., c],
+                            scratch[:x1 - x0])
     return out
 
 
@@ -259,13 +315,14 @@ def maxwell_residual(f_t: ComplexFieldGrid, f_plus: ComplexFieldGrid,
     The divergence norm is max |div F| over the grid; the evolution norm is
     max over the grid of the vector magnitude of
     (F(t+dt) - F(t-dt)) / (2 dt) + i curl F(t), which vanishes for an exact
-    solution up to O(h^2) + O(dt^2).  Both are computed one vector component
-    at a time in (N, N, N) work buffers: two complex and two real ones, 48
-    bytes per grid point.  With ``z``, a third complex one (64 bytes per
-    point in all) receives each component of z * F just before a stencil
-    reads it, so z * F is never stored whole.  Its products are those of
-    ``scale_field``, so the norms equal those of the scaled snapshots bit
-    for bit.
+    solution up to O(h^2) + O(dt^2).  Both are computed slab by slab
+    (``_slabs``) in buffers of a few x-planes, ``residual_buffer_bytes`` in
+    all, never whole (N, N, N) arrays.  With ``z``, each slab of F is
+    multiplied by z as it is loaded, so z * F is never stored whole.  Every
+    point sees the operations, in the same order, of the whole-field form
+    and of ``scale_field``'s products, so the norms equal theirs bit for
+    bit; only a slab whose evolution components exceed 2**500 in magnitude
+    sums their squares at a power-of-two scale, which keeps the norm finite.
     """
     if z is not None:
         z = _symmetry_factor(z)
@@ -276,35 +333,46 @@ def maxwell_residual(f_t: ComplexFieldGrid, f_plus: ComplexFieldGrid,
             raise ValueError("snapshot grids differ in shape")
         if other.spacing != f_t.spacing:
             raise ValueError("snapshot grids differ in spacing")
-    h = f_t.spacing
-    a = np.empty(f_t.values.shape[:3], dtype=complex)
-    b = np.empty_like(a)
-    s = None if z is None else np.empty_like(a)
-    mag = np.empty(a.shape)
-    total = np.zeros(a.shape)
+    h, n = f_t.spacing, f_t.n_grid
+    work, mags = _work(n, 3), _work(n, 3, float)
+    div_norms, evolution_norms = [], []
+    for x0, x1, v in _slabs(f_t, z):
+        a, b, s = work[:, :x1 - x0]
+        mag = mags[:, :x1 - x0]
+        div_norms.append(np.max(np.abs(_divergence(v, h, a, b), out=mag[0])))
+        # the operations and operand order of (F+ - F-) / 2dt + 1j * curl F
+        for c in range(3):
+            _curl_component(v, c, h, a, b)
+            np.multiply(1j, a, out=a)
+            plus, minus = (g.values[x0:x1, ..., c] for g in (f_plus, f_minus))
+            if z is not None:
+                plus = np.multiply(z, plus, out=s)
+                minus = np.multiply(z, minus, out=b)
+            np.subtract(plus, minus, out=b)
+            np.divide(b, 2.0 * dt, out=b)
+            np.add(b, a, out=b)
+            np.abs(b, out=mag[c])
+        evolution_norms.append(_largest_magnitude(mag))
+    # np.max keeps a NaN; and sqrt is monotone, so the largest of the slabs'
+    # roots is the root of the grid's largest sum
+    return float(np.max(div_norms)), float(np.max(evolution_norms))
 
-    def read(f: ComplexFieldGrid, c: int, buf: np.ndarray) -> np.ndarray:
-        """Component c of z * f (computed into ``buf``), or of f itself."""
-        x = f.values[..., c]
-        return x if z is None else np.multiply(z, x, out=buf)
 
-    def snapshot(c: int) -> np.ndarray:
-        return read(f_t, c, s)
+def _largest_magnitude(mag: np.ndarray) -> float:
+    """max over the points of sqrt(mag[0]**2 + mag[1]**2 + mag[2]**2),
+    summed in that order; ``mag`` is overwritten.
 
-    div_norm = float(np.max(np.abs(_divergence(snapshot, h, a, b), out=mag)))
-
-    # the operations and operand order of (F+ - F-) / 2dt + 1j * curl F,
-    # so each component is the same to the last bit as the whole-field form
-    for c in range(3):
-        _curl_component(snapshot, c, h, a, b)
-        np.multiply(1j, a, out=a)
-        np.subtract(read(f_plus, c, s), read(f_minus, c, b), out=b)
-        np.divide(b, 2.0 * dt, out=b)
-        np.add(b, a, out=b)
-        total += np.square(np.abs(b, out=mag), out=mag)
-    # sqrt is monotone, so the max of the roots is the root of the max
-    evolution_norm = float(np.sqrt(np.max(total)))
-    return div_norm, evolution_norm
+    When the largest entry exceeds ``_RESCALE_ABOVE``, ``mag`` is first
+    scaled by an exact power of two, 2**-e with the entry's exponent e, and
+    the root by 2**e, so the squares cannot overflow."""
+    big = np.max(mag)
+    e = int(np.frexp(big)[1]) if big > _RESCALE_ABOVE else 0
+    if e:
+        np.ldexp(mag, -e, out=mag)
+    total = np.square(mag[0], out=mag[0])
+    total += np.square(mag[1], out=mag[1])
+    total += np.square(mag[2], out=mag[2])
+    return math.ldexp(float(np.sqrt(np.max(total))), e)
 
 
 # ---------------------------------------------------------------------------

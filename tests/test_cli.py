@@ -374,8 +374,11 @@ def test_maxwell_grid_over_the_memory_budget_exits_two(tmp_path, capsys,
     monkeypatch.setattr(mx, "sample_plane_wave", no_sampling)
     _exits_two_with_one_line(["maxwell", "--grid", "100000",
                               "--out", str(tmp_path)], capsys)
+    # the largest grid whose modelled peak fits the budget
     largest = int((cli.MAXWELL_MEMORY_BUDGET
                    / cli.MAXWELL_BYTES_PER_POINT) ** (1.0 / 3.0))
+    while cli.maxwell_peak_bytes(largest) > cli.MAXWELL_MEMORY_BUDGET:
+        largest -= 1
     for grid in (128, largest):
         cli._validate_config("maxwell", {"grid": grid, "k": [1, 2, 2]})
     with pytest.raises(cli.UsageError):
@@ -385,7 +388,7 @@ def test_maxwell_grid_over_the_memory_budget_exits_two(tmp_path, capsys,
 
 def test_maxwell_peak_memory_is_the_budgeted_bytes_per_point(tmp_path):
     # numpy reports its buffers to tracemalloc, so the traced peak of a run
-    # is what MAXWELL_BYTES_PER_POINT claims, within the small arrays and
+    # is what maxwell_peak_bytes claims, within the small arrays and
     # interpreter objects a run also holds
     n = 64
     cfg = resolve_config("maxwell", {"grid": n})
@@ -395,7 +398,7 @@ def test_maxwell_peak_memory_is_the_budgeted_bytes_per_point(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 0.95 <= peak / (cli.MAXWELL_BYTES_PER_POINT * n ** 3) <= 1.03
+    assert 0.95 <= peak / cli.maxwell_peak_bytes(n) <= 1.03
 
 
 def test_maxwell_samples_each_level_once(tmp_path, monkeypatch):

@@ -9,6 +9,7 @@ independently and compare against the grid computation to rounding.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssb_lab.maxwell import (BOX_LENGTH, ComplexFieldGrid, PlaneWaveSpec,
-                             _ddx, discrete_curl, discrete_div,
+                             _ddx, _slabs, discrete_curl, discrete_div,
                              make_helicity_wave, maxwell_residual,
                              sample_plane_wave, scale_field, study_level,
                              wave_snapshots, wave_vector, zero_field)
@@ -62,13 +63,54 @@ def _unfused_residual(f_t, f_plus, f_minus, dt):
             float(np.max(np.sqrt(np.sum(np.abs(evolution) ** 2, axis=-1)))))
 
 
+def _whole_grid_ddx(values, axis, h, out):
+    """The stencil on whole (N, N, N) arrays, with wrapped ends."""
+    v = np.moveaxis(values, axis, 0)
+    o = np.moveaxis(out, axis, 0)
+    np.subtract(v[2:], v[:-2], out=o[1:-1])
+    np.subtract(v[1], v[-1], out=o[0])
+    np.subtract(v[0], v[-2], out=o[-1])
+    return np.divide(out, 2.0 * h, out=out)
+
+
+def _whole_grid_residual(f_t, f_plus, f_minus, dt, z=None):
+    """The residual computed one component at a time on whole (N, N, N)
+    work buffers, the reference the slab-by-slab residual must equal."""
+    h = f_t.spacing
+    a = np.empty(f_t.values.shape[:3], dtype=complex)
+    b, s = np.empty_like(a), np.empty_like(a)
+    total = np.zeros(a.shape)
+
+    def read(f, c, buf):
+        x = f.values[..., c]
+        return x if z is None else np.multiply(z, x, out=buf)
+
+    _whole_grid_ddx(read(f_t, 0, s), 0, h, a)
+    for axis in (1, 2):
+        a += _whole_grid_ddx(read(f_t, axis, s), axis, h, b)
+    div_norm = float(np.max(np.abs(a)))
+    for c in range(3):
+        i, j = (c + 1) % 3, (c + 2) % 3
+        _whole_grid_ddx(read(f_t, j, s), i, h, a)
+        np.subtract(a, _whole_grid_ddx(read(f_t, i, s), j, h, b), out=a)
+        np.multiply(1j, a, out=a)
+        np.subtract(read(f_plus, c, s), read(f_minus, c, b), out=b)
+        np.divide(b, 2.0 * dt, out=b)
+        np.add(b, a, out=b)
+        total += np.square(np.abs(b))
+    return div_norm, float(np.sqrt(np.max(total)))
+
+
 def _random_field(rng, n, component_major):
     shape = (3, n, n, n) if component_major else (n, n, n, 3)
     v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     return np.moveaxis(v, 0, -1) if component_major else v
 
 
-_GRID_SIZES = st.integers(4, 12)
+# grids of one slab and of several: below the slab height, one plane past
+# a multiple of it, and neither
+_GRID_SIZES = st.one_of(st.sampled_from([4, 7, 9, 12, 17, 33]),
+                        st.integers(4, 40))
 _SEEDS = st.integers(0, 2 ** 32 - 1)
 
 
@@ -240,13 +282,68 @@ def test_residual_norms_match_closed_form(k, n_grid):
 def test_slice_stencil_equals_rolled_copies_bit_for_bit(n, axis,
                                                          component_major,
                                                          seed):
+    # on every slab, with the halo planes
     rng = np.random.default_rng(seed)
-    values = _random_field(rng, n, component_major)
-    h = float(rng.uniform(0.01, 2.0))
-    for component in range(3):
-        v = values[..., component]
-        got = _ddx(v, axis, h, np.empty((n, n, n), dtype=complex))
-        assert got.tobytes() == _roll_ddx(v, axis, h).tobytes()
+    f = ComplexFieldGrid(_random_field(rng, n, component_major),
+                         float(rng.uniform(0.01, 2.0)), 0.0)
+    for x0, x1, v in _slabs(f):
+        for c in range(3):
+            got = _ddx(v[c], axis, f.spacing,
+                       np.empty((x1 - x0, n, n), dtype=complex))
+            want = _roll_ddx(f.values[..., c], axis, f.spacing)[x0:x1]
+            assert got.tobytes() == want.tobytes()
+
+
+@settings(derandomize=True, deadline=None)
+@given(_GRID_SIZES, st.booleans(), _SEEDS,
+       st.one_of(st.sampled_from([None, 1j, 2.0 - 3.0j]),
+                 st.complex_numbers(min_magnitude=1e-100,
+                                    max_magnitude=1e100)))
+def test_slab_residual_equals_whole_grid_residual_bit_for_bit(
+        n, component_major, seed, z):
+    rng = np.random.default_rng(seed)
+    h, dt = rng.uniform(0.01, 2.0, size=2)
+    fields = [ComplexFieldGrid(_random_field(rng, n, component_major), h, 0.0)
+              for _ in range(3)]
+    assert maxwell_residual(*fields, dt, z=z) \
+        == _whole_grid_residual(*fields, dt, z=z)
+
+
+@pytest.mark.parametrize("n", [4, 8, 9, 17])
+@pytest.mark.parametrize("plane", ["first", "last"])
+@pytest.mark.parametrize("component", [0, 1, 2])
+def test_stencils_wrap_around_the_first_and_last_plane(n, plane, component):
+    # a field on one x-plane p: d/dx puts -v/2h on plane p + 1 and +v/2h
+    # on plane p - 1 (periodically), d/dy and d/dz stay on plane p
+    p = 0 if plane == "first" else n - 1
+    h = 0.5
+    rng = np.random.default_rng(n)
+    values = np.zeros((n, n, n, 3), dtype=complex)
+    v = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    values[p, :, :, component] = v
+    f = ComplexFieldGrid(values, h, 0.0)
+    after, before = (p + 1) % n, (p - 1) % n
+
+    def planes(field):
+        return {x for x in range(n) if np.any(field[x])}
+
+    div, curl = discrete_div(f), discrete_curl(f)
+    if component == 0:
+        assert planes(div) == {before, after}
+        assert div[after].tobytes() == (-v / (2 * h)).tobytes()
+        assert div[before].tobytes() == (v / (2 * h)).tobytes()
+    else:
+        assert planes(div) == {p}
+    for c in range(3):
+        # curl_c = d_i v_j - d_j v_i with (c, i, j) cyclic
+        i, j = (c + 1) % 3, (c + 2) % 3
+        if component == c:
+            want = set()
+        elif (i == 0 and j == component) or (j == 0 and i == component):
+            want = {before, after}
+        else:
+            want = {p}
+        assert planes(curl[..., c]) == want
 
 
 @settings(derandomize=True, deadline=None)
@@ -352,6 +449,19 @@ def test_rescaled_residual_of_random_fields_is_bit_identical(
               for _ in range(3)]
     assert maxwell_residual(*fields, dt, z=z) \
         == maxwell_residual(*[scale_field(f, z) for f in fields], dt)
+
+
+def test_residual_of_a_huge_field_does_not_overflow():
+    # |z F| of about 1e200 squares past the float range; the norms do not
+    f_t, f_plus, f_minus, dt = wave_snapshots(make_helicity_wave((1, 2, 2)),
+                                              8)
+    base = maxwell_residual(f_t, f_plus, f_minus, dt, z=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = maxwell_residual(f_t, f_plus, f_minus, dt, z=1e200j)
+    for got, ref in zip(huge, base):
+        assert math.isfinite(got)
+        assert got == pytest.approx(1e200 * ref, rel=1e-15)
 
 
 def test_scaling_by_zero_rejected():
