@@ -20,8 +20,8 @@ directory that cannot be created, or settings no run can give a defined
 result for, such as a non-positive square side, terminals that are not 3 or
 4 distinct points within 1e150 of the origin, a Maxwell grid too coarse for
 two levels or over the memory budget, a wave vector beyond 2**53, or a
-potential outside 2 to 179 dimensions or with mu or lambda outside
-[1e-60, 1e60].
+potential outside 2 to 171 dimensions, with mu or lambda outside
+[1e-60, 1e60], or with a charge whose values overflow.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ from . import ode
 from . import scalar as sc
 from . import steiner as st
 from . import symmetry as sym
-from .report import (RunManifest, make_check, manifest_json, write_csv,
-                     write_segments, write_text_atomic)
+from .report import (CheckReport, RunManifest, make_check, manifest_json,
+                     write_csv, write_segments, write_text_atomic)
 
 DEFAULT_OUT = "ssb_lab_out"
 ENV_OUT = "SSB_LAB_OUT"
@@ -71,8 +71,10 @@ MAXWELL_BYTES_PER_POINT = 3 * 3 * 16
 MAXWELL_MEMORY_BUDGET = 4 * 2 ** 30
 # squared distances overflow (past 1.8e308) from coordinates of about 1e154
 MAX_COORDINATE = 1e150
-# from n = 180, O_{n-1} r^{n-1} at the plotted r = 0.05 underflows to 0
-MAX_POTENTIAL_DIM = 179
+# the plotted field q / (O_{n-1} r^{n-1}) divides by a normal float at
+# r = 0.05 up to n = 171; from 172 the divisor is subnormal and loses bits,
+# and from 173 a unit charge's field there overflows
+MAX_POTENTIAL_DIM = 171
 # the checks raise lambda * r (r <= 7) to powers up to 5, which must stay
 # within 1e+-308; mu shares the bound, so r / mu and mu / lambda do too
 SCALE_RANGE = (1e-60, 1e60)
@@ -283,13 +285,7 @@ def _run_maxwell(cfg: dict[str, Any], out_dir: str) -> tuple[list, list[str]]:
     checks.append(make_check("maxwell.residuals_decrease",
                              "maxwell.refinement", monotone, True))
 
-    errors = []
-    for z in (1j, 2.0 - 3.0j):
-        scaled = mx.maxwell_residual(f_t, f_plus, f_minus, dt, z=z)
-        errors += [_rel_err(s, abs(z) * b) for b, s in zip(base, scaled)]
-    checks.append(make_check("maxwell.rescaling_linearity",
-                             "maxwell.complex_symmetry", _worst(errors),
-                             0.0, 1e-12))
+    checks.append(_rescaling_check(f_t, f_plus, f_minus, dt, base))
 
     zero = mx.zero_field(max(4, n_grid // 4))
     vacuum = mx.maxwell_residual(zero, zero, zero, dt)
@@ -300,6 +296,19 @@ def _run_maxwell(cfg: dict[str, Any], out_dir: str) -> tuple[list, list[str]]:
     artifacts = [_emit(out_dir, "maxwell_convergence.csv", write_csv,
                        ["n_grid", "h", "div_norm", "evolution_norm"], table)]
     return checks, artifacts
+
+
+def _rescaling_check(f_t: mx.ComplexFieldGrid, f_plus: mx.ComplexFieldGrid,
+                     f_minus: mx.ComplexFieldGrid, dt: float,
+                     base: tuple[float, float]) -> CheckReport:
+    """Whether the residual norms of z * F are |z| times ``base``, the
+    norms of F, for z = i and 2 - 3i."""
+    errors = []
+    for z in (1j, 2.0 - 3.0j):
+        scaled = mx.maxwell_residual(f_t, f_plus, f_minus, dt, z=z)
+        errors += [_rel_err(s, abs(z) * b) for b, s in zip(base, scaled)]
+    return make_check("maxwell.rescaling_linearity",
+                      "maxwell.complex_symmetry", _worst(errors), 0.0, 1e-12)
 
 
 def _rel_err(value: float, reference: float) -> float:
@@ -416,13 +425,18 @@ def _run_potential(cfg: dict[str, Any], out_dir: str) -> tuple[list, list[str]]:
                              "potential.off_origin_harmonic", res, 0.0, 1e-4))
 
     sol = es.PotentialSolution(n=n, q=q, mu=mu if n == 2 else None)
-    rs = sorted(set(float(r) for r in np.geomspace(0.05, 20.0, 61))
-                | ({mu} if n == 2 else set()))
     rows = [(r, es.potential(sol, r), es.field_magnitude(sol, r))
-            for r in rs]
+            for r in _plot_radii(n, mu)]
     artifacts = [_emit(out_dir, f"phi_vs_r_n{n}.csv", write_csv,
                        ["r", "phi", "field"], rows)]
     return checks, artifacts
+
+
+def _plot_radii(n: int, mu: float) -> list[float]:
+    """The radii of the potential's plot data, with mu for n = 2, where
+    the potential crosses 0."""
+    return sorted(set(float(r) for r in np.geomspace(0.05, 20.0, 61))
+                  | ({mu} if n == 2 else set()))
 
 
 def _run_classify(cfg: dict[str, Any], out_dir: str) -> tuple[list, list[str]]:
@@ -562,6 +576,38 @@ def _validate_config(name: str, cfg: dict[str, Any]) -> None:
             if not (_is_number(cfg[key]) and lo <= cfg[key] <= hi):
                 raise UsageError(f"{what} must be a number from {lo:g} to "
                                  f"{hi:g}, got {cfg[key]!r}")
+        largest_q = sys.float_info.max / 2 / _unit_charge_peak(
+            cfg["n"], cfg["mu"], cfg["lam"])
+        if not abs(cfg["q"]) <= largest_q:
+            raise UsageError(f"charge must be at most {largest_q:.6g} in "
+                             f"magnitude with this n, mu and lambda, or the "
+                             f"run overflows; got {cfg['q']!r}")
+
+
+def _unit_charge_peak(n: int, mu: float, lam: float) -> float:
+    """The largest magnitude a potential run with n, mu, lambda and q = 1
+    computes; every value of a run is linear in q, so with charge q the
+    largest is |q| times this.
+
+    It is the largest of three values.  The plotted field at the smallest
+    plotted radius r0, 1 / (O_{n-1} r0^{n-1}), where r0 is 0.05, or mu for
+    n = 2 when mu is smaller; the plotted potential is r / (n - 2) times
+    the field for n > 2.  The field_scaling check's field of n = 6 at
+    lambda r = 0.5 min(lambda, 1), the largest of its dimensions 2, 3, 4, 6
+    (1 / (O_{n-1} s^{n-1}) grows with n for s <= 0.5) and radii 0.5, 1, 3;
+    both sides of its identity are that field.  The scaling_identity
+    check's potential of n = 6 at its smallest radius, 0.5 x 0.1 = 0.05:
+    1290.  Every other value is at most 110: the 2d potentials, of
+    |log(r / mu)| <= 277 over 2 pi, their differences and shifts, and the
+    flux_identity field, at most 3.94 (n = 8, r = 0.5).  The charge is
+    bounded by half the largest float over this: the run's values and this
+    estimate differ by a few roundings, far less than that factor of 2.
+    """
+    return max(es.field_magnitude(es.PotentialSolution(n=n, q=1.0),
+                                  _plot_radii(n, mu)[0]),
+               es.field_magnitude(es.PotentialSolution(n=6, q=1.0),
+                                  0.5 * min(lam, 1.0)),
+               es.potential(es.PotentialSolution(n=6, q=1.0), 0.05))
 
 
 def _check_terminals(value: Any) -> None:

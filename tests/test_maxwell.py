@@ -192,6 +192,14 @@ def test_field_grid_validation():
         ComplexFieldGrid(np.zeros((4, 4, 4, 3), dtype=complex), 0.0, 0.0)
 
 
+@pytest.mark.parametrize("spacing", [math.inf, -math.inf, math.nan, -0.5])
+def test_field_grid_rejects_a_spacing_that_is_not_positive_and_finite(
+        spacing):
+    # an infinite spacing made every stencil read 0, an exact solution
+    with pytest.raises(ValueError, match="spacing"):
+        ComplexFieldGrid(np.ones((4, 4, 4, 3), dtype=complex), spacing, 0.0)
+
+
 def test_field_grid_values_are_read_only():
     f = zero_field(4)
     with pytest.raises(ValueError):
@@ -408,6 +416,56 @@ def test_residual_validation():
     other = zero_field(16)
     with pytest.raises(ValueError):
         maxwell_residual(f_t, f_plus, other, dt)
+
+
+@pytest.mark.parametrize("dt", [math.inf, -math.inf, math.nan, -0.1])
+def test_residual_rejects_a_dt_that_is_not_positive_and_finite(dt):
+    f_t, f_plus, f_minus, _ = wave_snapshots(make_helicity_wave((1, 2, 2)), 8)
+    with pytest.raises(ValueError, match="dt"):
+        maxwell_residual(f_t, f_plus, f_minus, dt)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, 1j * math.inf,
+                                 math.nan])
+@pytest.mark.parametrize("snapshot", [0, 1, 2])
+@pytest.mark.parametrize("z", [None, 1j, 2.0 - 3.0j])
+def test_a_non_finite_entry_gives_non_finite_norms(bad, snapshot, z):
+    # one inf or NaN in F(t) reaches both norms, one in F(t +- dt) the
+    # evolution norm; whether a norm reads inf or NaN is not promised
+    rng = np.random.default_rng(snapshot)
+    values = [_random_field(rng, 9, False) for _ in range(3)]
+    values[snapshot][3, 4, 5, 1] = bad
+    fields = [ComplexFieldGrid(v, 0.3, 0.0) for v in values]
+    with np.errstate(all="ignore"):
+        div_norm, evo_norm = maxwell_residual(*fields, 0.05, z=z)
+    assert math.isfinite(div_norm) == (snapshot != 0)
+    assert not math.isfinite(evo_norm)
+
+
+def _with_signed_zeros(rng, v):
+    """``v`` with about a third of its real and of its imaginary parts set
+    to +0 or -0 at random."""
+    for part in (v.real, v.imag):
+        zero = rng.random(part.shape) < 1 / 3
+        part[zero] = np.where(rng.random(part.shape) < 0.5, -0.0, 0.0)[zero]
+    return v
+
+
+@settings(derandomize=True, deadline=None)
+@given(_GRID_SIZES, st.booleans(), _SEEDS)
+def test_stencils_of_fields_with_signed_zeros_equal_the_rolled_copies(
+        n, component_major, seed):
+    # the stencils may keep a -0 part that numpy's complex division turns
+    # into +0 (see _ddx), so the arrays are compared by value, not by bits
+    rng = np.random.default_rng(seed)
+    h, dt = rng.uniform(0.01, 2.0, size=2)
+    fields = [ComplexFieldGrid(
+        _with_signed_zeros(rng, _random_field(rng, n, component_major)),
+        h, 0.0) for _ in range(3)]
+    div, curl = _rolled_div_curl(fields[0])
+    assert np.array_equal(discrete_div(fields[0]), div)
+    assert np.array_equal(discrete_curl(fields[0]), curl)
+    assert maxwell_residual(*fields, dt) == _unfused_residual(*fields, dt)
 
 
 # ---------------------------------------------------------------------------
