@@ -19,8 +19,8 @@ written), and 2 on usage errors (one line on stderr): bad flags, an output
 directory that cannot be created, or settings no run can give a defined
 result for, such as a non-positive square side, terminals that are not 3 or
 4 distinct points within 1e150 of the origin, a Maxwell grid too coarse for
-two levels or over the memory budget, a wave vector beyond 2**53, or a
-potential outside 2 to 171 dimensions, with mu or lambda outside
+two levels or finer than 307 points per axis, a wave vector beyond 2**53,
+or a potential outside 2 to 171 dimensions, with mu or lambda outside
 [1e-60, 1e60], or with a charge whose values overflow.
 """
 
@@ -64,11 +64,11 @@ _CONFIG_KEYS = frozenset().union(*DEFAULTS.values())
 # maxwell compares residuals on grids N/4, N/2 and N (each at least 4 points
 # per axis); N >= 5 gives the two distinct levels a convergence ratio needs
 MIN_MAXWELL_GRID = 5
-# bytes per grid point of the finest level's three (N, N, N, 3) complex
-# snapshots, which a maxwell run holds at its peak; the residual computed on
-# them adds slab buffers of O(N^2) bytes (maxwell_peak_bytes)
-MAXWELL_BYTES_PER_POINT = 3 * 3 * 16
-MAXWELL_MEMORY_BUDGET = 4 * 2 ** 30
+# a run samples its waves as the residuals read them, so its memory grows
+# only as N^2 (mx.residual_peak_bytes, 100 MiB at N = 307) and no longer
+# limits the grid; its time grows as N^3, from about 1 s at N = 128 to
+# about 11 s here
+MAX_MAXWELL_GRID = 307
 # squared distances overflow (past 1.8e308) from coordinates of about 1e154
 MAX_COORDINATE = 1e150
 # the plotted field q / (O_{n-1} r^{n-1}) divides by a normal float at
@@ -264,8 +264,9 @@ def _run_maxwell(cfg: dict[str, Any], out_dir: str) -> tuple[list, list[str]]:
     n_grid = int(cfg["grid"])
     ns = sorted({max(4, n_grid // 4), max(4, n_grid // 2), n_grid})
     spec = mx.make_helicity_wave(cfg["k"])
-    # the coarser snapshots are dropped before the finest level is sampled;
-    # the finest level's snapshots and residual serve the rescaling check
+    # each level's snapshots are plane-wave fields, sampled slab by slab as
+    # the residuals read them; the finest level's snapshots and residual
+    # serve the rescaling check
     rows = [mx.study_level(spec, n)[0] for n in ns[:-1]]
     row, (f_t, f_plus, f_minus, dt) = mx.study_level(spec, ns[-1])
     rows.append(row)
@@ -523,12 +524,6 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def maxwell_peak_bytes(grid: int) -> int:
-    """Peak bytes of the arrays of a maxwell run on a grid^3 grid: the
-    finest level's snapshots and the residual's slab buffers."""
-    return MAXWELL_BYTES_PER_POINT * grid ** 3 + mx.residual_buffer_bytes(grid)
-
-
 def _validate_config(name: str, cfg: dict[str, Any]) -> None:
     """Raise UsageError for a resolved config no run can handle."""
     for key, value in cfg.items():
@@ -552,14 +547,11 @@ def _validate_config(name: str, cfg: dict[str, Any]) -> None:
                              f"got {trials!r}")
     elif name == "maxwell":
         grid = cfg["grid"]
-        if not (_is_int(grid) and grid >= MIN_MAXWELL_GRID):
-            raise UsageError(f"grid must be an integer >= {MIN_MAXWELL_GRID}"
-                             f", got {grid!r}")
-        peak = maxwell_peak_bytes(grid)
-        if peak > MAXWELL_MEMORY_BUDGET:
-            raise UsageError(f"grid {grid} needs about {peak / 2**30:.1f} GiB"
-                             f", over the {MAXWELL_MEMORY_BUDGET / 2**30:g} "
-                             f"GiB budget")
+        if not (_is_int(grid)
+                and MIN_MAXWELL_GRID <= grid <= MAX_MAXWELL_GRID):
+            raise UsageError(f"grid must be an integer from "
+                             f"{MIN_MAXWELL_GRID} to {MAX_MAXWELL_GRID}, "
+                             f"got {grid!r}")
         try:
             mx.make_helicity_wave(cfg["k"])
         except ValueError as exc:
@@ -685,7 +677,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("maxwell", parents=[common],
                        help="plane-wave residuals and complex rescaling")
     p.add_argument("--grid", type=int, default=None, metavar="N",
-                   help="points per axis (default 32)")
+                   help="points per axis, 5 to 307 (default 32)")
 
     p = sub.add_parser("potential", parents=[common],
                        help="point charge in n dimensions")

@@ -59,9 +59,9 @@ class PotentialSolution:
         object.__setattr__(self, "q", float(self.q))
         if self.n == 2:
             mu = 1.0 if self.mu is None else float(self.mu)
-            if not mu > 0:
-                raise ValueError(f"reference radius must be positive, "
-                                 f"got {mu}")
+            if not (math.isfinite(mu) and mu > 0):
+                raise ValueError(f"reference radius mu must be a positive "
+                                 f"finite number, got {mu}")
             object.__setattr__(self, "mu", mu)
         elif self.mu is not None:
             raise ValueError("a reference radius only exists for n = 2")
@@ -74,9 +74,11 @@ class ScalingTransform:
     lam: float
 
     def __post_init__(self) -> None:
-        if not self.lam > 0:
-            raise ValueError(f"scale factor must be positive, got {self.lam}")
-        object.__setattr__(self, "lam", float(self.lam))
+        lam = float(self.lam)
+        if not (math.isfinite(lam) and lam > 0):
+            raise ValueError(f"scale factor lam must be a positive finite "
+                             f"number, got {lam}")
+        object.__setattr__(self, "lam", lam)
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,20 @@ polarized plane wave: for a right-handed frame (e1, e2, k/|k|) the
 polarization eps = (e1 + i e2)/sqrt 2 satisfies k x eps = -i |k| eps, which
 is precisely the helicity needed for amp * eps * exp(i(k.x - |k|t)) to solve
 dF/dt = -i curl F.
+
+The stencils read a field one slab of x-planes at a time, through its
+``read_planes`` method, so a field need not be stored: ``ComplexFieldGrid``
+copies its planes from a stored (N, N, N, 3) array, and ``PlaneWaveField``
+samples them from the wave's separable factors, O(N^2) numbers, as they are
+read.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,12 +79,25 @@ class ComplexFieldGrid:
         if not (math.isfinite(self.spacing) and self.spacing > 0):
             raise ValueError(f"spacing must be a positive finite number, "
                              f"got {self.spacing}")
+        _check_time(self.time)
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
     @property
     def n_grid(self) -> int:
         return self.values.shape[0]
+
+    def read_planes(self, c: int, planes: np.ndarray,
+                    out: np.ndarray) -> np.ndarray:
+        """Component c on the x-planes ``planes``, taken modulo N, copied
+        into ``out``, a (len(planes), N, N) complex array."""
+        return np.take(self.values[..., c], planes, axis=0, out=out,
+                       mode="wrap")
+
+
+def _check_time(time: float) -> None:
+    if not math.isfinite(time):
+        raise ValueError(f"time must be finite, got {time}")
 
 
 def _empty_field(n_grid: int) -> np.ndarray:
@@ -164,36 +184,84 @@ def make_helicity_wave(k, amplitude: complex = 1.0 + 0.0j) -> PlaneWaveSpec:
     return PlaneWaveSpec(k=k, polarization=eps, amplitude=amplitude)
 
 
+@dataclass(frozen=True, eq=False)
+class PlaneWaveField:
+    """The wave ``spec`` on the n_grid^3 periodic grid at ``time``, sampled
+    when it is read.
+
+    amp * eps * exp(i(k.x - |k| t)) factorizes: component c at the point
+    (x, y, z) is px[c, x] * eyz[y, z], with px[c] = eps_c * amp *
+    exp(-i|k|t) * exp(i k_x x) and eyz = exp(i k_y y) * exp(i k_z z).  The
+    field holds those factors, 3N + N^2 complex numbers, read-only, and no
+    (N, N, N) array.
+    """
+
+    spec: PlaneWaveSpec
+    n_grid: int = DEFAULT_GRID
+    time: float = 0.0
+    spacing: float = field(init=False)
+    px: np.ndarray = field(init=False, repr=False)
+    eyz: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        spec, n, time = self.spec, operator.index(self.n_grid), self.time
+        if n < _MIN_GRID:
+            raise ValueError(f"need at least {_MIN_GRID} points per axis, "
+                             f"got {n}")
+        _check_time(time)
+        h = BOX_LENGTH / n
+        coords = h * np.arange(n)
+        ex, ey, ez = (np.exp(1j * kj * coords) for kj in spec.k)
+        ex *= spec.amplitude * np.exp(-1j * spec.omega * time)
+        px = np.array([p * ex for p in spec.polarization])
+        eyz = np.multiply.outer(ey, ez)
+        px.flags.writeable = eyz.flags.writeable = False
+        for name, value in (("n_grid", n), ("spacing", h), ("px", px),
+                            ("eyz", eyz)):
+            object.__setattr__(self, name, value)
+
+    def read_planes(self, c: int, planes: np.ndarray,
+                    out: np.ndarray) -> np.ndarray:
+        """Component c on the x-planes ``planes``, taken modulo N, sampled
+        into ``out``, a (len(planes), N, N) complex array."""
+        return np.multiply.outer(np.take(self.px[c], planes, mode="wrap"),
+                                 self.eyz, out=out)
+
+
+# a field the stencils can read: stored, or sampled as it is read
+Field = ComplexFieldGrid | PlaneWaveField
+
+
+def _stored(f: Field) -> np.ndarray:
+    """Every plane of the field ``f``, read into a new array from
+    ``_empty_field``."""
+    values = _empty_field(f.n_grid)
+    every = np.arange(f.n_grid)
+    for c in range(3):
+        f.read_planes(c, every, values[..., c])
+    return values
+
+
 def sample_plane_wave(spec: PlaneWaveSpec, n_grid: int = DEFAULT_GRID,
                       time: float = 0.0) -> ComplexFieldGrid:
-    """Evaluate amp * eps * exp(i(k.x - |k| t)) on the periodic grid.
-
-    The exponential factorizes, so it is sampled as amp * exp(-i|k|t) times
-    the outer product of the three 1-d factors exp(i k_j x_j).
-    """
-    h = BOX_LENGTH / n_grid
-    coords = h * np.arange(n_grid)
-    ex, ey, ez = (np.exp(1j * kj * coords) for kj in spec.k)
-    ex *= spec.amplitude * np.exp(-1j * spec.omega * time)
-    eyz = np.multiply.outer(ey, ez)
-    values = _empty_field(n_grid)
-    for c in range(3):
-        np.multiply.outer(spec.polarization[c] * ex, eyz,
-                          out=values[..., c])
-    return ComplexFieldGrid._adopt(values, h, time)
+    """Evaluate amp * eps * exp(i(k.x - |k| t)) on the periodic grid and
+    store it: every plane of the ``PlaneWaveField``."""
+    wave = PlaneWaveField(spec, n_grid, time)
+    return ComplexFieldGrid._adopt(_stored(wave), wave.spacing, wave.time)
 
 
 def wave_snapshots(spec: PlaneWaveSpec, n_grid: int = DEFAULT_GRID,
                    time: float = 0.0,
                    dt_ratio: float = DEFAULT_DT_RATIO
-                   ) -> tuple[ComplexFieldGrid, ComplexFieldGrid,
-                              ComplexFieldGrid, float]:
+                   ) -> tuple[PlaneWaveField, PlaneWaveField,
+                              PlaneWaveField, float]:
     """Three consecutive snapshots (t, t+dt, t-dt) plus dt, with dt tied to
-    the spacing so the time error stays subdominant to the space error."""
+    the spacing so the time error stays subdominant to the space error.
+    The snapshots are ``PlaneWaveField``s: none is stored."""
     dt = dt_ratio * BOX_LENGTH / n_grid
-    f_t = sample_plane_wave(spec, n_grid, time)
-    f_plus = sample_plane_wave(spec, n_grid, time + dt)
-    f_minus = sample_plane_wave(spec, n_grid, time - dt)
+    f_t = PlaneWaveField(spec, n_grid, time)
+    f_plus = PlaneWaveField(spec, n_grid, time + dt)
+    f_minus = PlaneWaveField(spec, n_grid, time - dt)
     return f_t, f_plus, f_minus, dt
 
 
@@ -214,38 +282,49 @@ def _work(n_grid: int, count: int, dtype: type = complex) -> np.ndarray:
     return np.empty((count, min(_SLAB, n_grid), n_grid, n_grid), dtype=dtype)
 
 
-def residual_buffer_bytes(n_grid: int) -> int:
-    """Bytes of the buffers ``maxwell_residual`` allocates on an n_grid^3
-    grid: per point of a slab's x-plane, three complex components with two
-    halo planes, three complex work buffers and three real ones."""
+def residual_peak_bytes(n_grid: int) -> int:
+    """Bytes of the arrays held at the peak of ``maxwell_residual`` on three
+    ``PlaneWaveField`` snapshots of an n_grid^3 grid.
+
+    Per point of one x-plane: the residual's slab of three complex
+    components with two halo planes, its three complex work buffers and
+    three real ones, and each snapshot's complex factor eyz.  Plus numpy's
+    iteration buffers for the z stencil, whose rows are strided: one of
+    ``np.getbufsize()`` complex entries per operand, three of them.  The
+    O(N) arrays are left out."""
     m = min(_SLAB, n_grid)
-    return (3 * (m + 2) * 16 + m * (3 * 16 + 3 * 8)) * n_grid ** 2
+    per_plane_point = 3 * (m + 2) * 16 + m * (3 * 16 + 3 * 8) + 3 * 16
+    return per_plane_point * n_grid ** 2 + 3 * np.getbufsize() * 16
 
 
-def _slabs(f: ComplexFieldGrid, z: complex | None = None
+def _read(f: Field, c: int, planes: np.ndarray, out: np.ndarray,
+          z: complex | None) -> np.ndarray:
+    """Component c of the field ``f``, or of z * f when ``z`` is given, on
+    the x-planes ``planes`` (modulo N), written into ``out``."""
+    f.read_planes(c, planes, out)
+    if z is not None:
+        np.multiply(z, out, out=out)
+    return out
+
+
+def _slabs(f: Field, z: complex | None = None
            ) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Walk ``f`` in slabs of at most ``_SLAB`` x-planes.
+    """Walk the field ``f`` in slabs of at most ``_SLAB`` x-planes.
 
     Yields (x0, x1, v), where v[c] holds component c of f, or of z * f when
     ``z`` is given, on the periodic x-planes x0 - 1, x0, ..., x1: the slab's
-    planes x0 to x1 - 1 plus one halo plane on each side.  v is one buffer,
-    overwritten by the next slab.
+    planes x0 to x1 - 1 plus one halo plane on each side, read with
+    ``f.read_planes``.  v is one buffer, overwritten by the next slab.
     """
-    values, n = f.values, f.n_grid
+    n = f.n_grid
     buf = np.empty((3, min(_SLAB, n) + 2, n, n), dtype=complex)
     for x0 in range(0, n, _SLAB):
         x1 = min(x0 + _SLAB, n)
         v = buf[:, :x1 - x0 + 2]
+        # plane x0 - 1 = -1 is the last one, and x1 = N the first
+        planes = np.arange(x0 - 1, x1 + 1)
         for c in range(3):
-            comp = values[..., c]
-            # plane x0 - 1 = -1 is the last one
-            for src, dst in ((comp[x0 - 1], v[c, 0]),
-                             (comp[x0:x1], v[c, 1:-1]),
-                             (comp[x1 % n], v[c, -1])):
-                if z is None:
-                    np.copyto(dst, src)
-                else:
-                    np.multiply(z, src, out=dst)
+            _read(f, c, planes, v[c], z)
         yield x0, x1, v
 
 
@@ -304,17 +383,19 @@ def _divergence(v: np.ndarray, h: float, out: np.ndarray,
     return out
 
 
-def discrete_div(f: ComplexFieldGrid) -> np.ndarray:
-    """Central-difference divergence, an (N, N, N) complex field."""
-    out = np.empty(f.values.shape[:3], dtype=complex)
+def discrete_div(f: Field) -> np.ndarray:
+    """Central-difference divergence of the field ``f``, an (N, N, N)
+    complex array."""
+    out = np.empty((f.n_grid,) * 3, dtype=complex)
     scratch = _work(f.n_grid, 1)[0]
     for x0, x1, v in _slabs(f):
         _divergence(v, f.spacing, out[x0:x1], scratch[:x1 - x0])
     return out
 
 
-def discrete_curl(f: ComplexFieldGrid) -> np.ndarray:
-    """Central-difference curl, an (N, N, N, 3) complex field."""
+def discrete_curl(f: Field) -> np.ndarray:
+    """Central-difference curl of the field ``f``, an (N, N, N, 3) complex
+    array."""
     out = _empty_field(f.n_grid)
     scratch = _work(f.n_grid, 1)[0]
     for x0, x1, v in _slabs(f):
@@ -324,9 +405,8 @@ def discrete_curl(f: ComplexFieldGrid) -> np.ndarray:
     return out
 
 
-def maxwell_residual(f_t: ComplexFieldGrid, f_plus: ComplexFieldGrid,
-                     f_minus: ComplexFieldGrid, dt: float, *,
-                     z: complex | None = None) -> tuple[float, float]:
+def maxwell_residual(f_t: Field, f_plus: Field, f_minus: Field, dt: float,
+                     *, z: complex | None = None) -> tuple[float, float]:
     """(divergence norm, evolution norm) of the discretized vacuum equations
     for F, or for z * F when the nonzero complex ``z`` is given.
 
@@ -334,11 +414,14 @@ def maxwell_residual(f_t: ComplexFieldGrid, f_plus: ComplexFieldGrid,
     max over the grid of the vector magnitude of
     (F(t+dt) - F(t-dt)) / (2 dt) + i curl F(t), which vanishes for an exact
     solution up to O(h^2) + O(dt^2).  Both are computed slab by slab
-    (``_slabs``) in buffers of a few x-planes, ``residual_buffer_bytes`` in
-    all, never whole (N, N, N) arrays.  With ``z``, each slab of F is
-    multiplied by z as it is loaded, so z * F is never stored whole.  Every
+    (``_slabs``) in buffers of a few x-planes, never whole (N, N, N) arrays;
+    F(t+dt) and F(t-dt) are read one slab's planes at a time as well.  On
+    ``PlaneWaveField`` snapshots nothing of O(N^3) is stored at all, and
+    the run peaks at ``residual_peak_bytes``.  With ``z``, each slab is
+    multiplied by z as it is read, so z * F is never stored whole.  Every
     point sees the operations, in the same order, of the whole-field form
-    and of ``scale_field``'s products, with each division by 2h or 2dt
+    on the stored snapshots (``sample_plane_wave``) and of
+    ``scale_field``'s products, with each division by 2h or 2dt
     taken as the product with its reciprocal that numpy's complex division
     computes (``_ddx``), so for finite fields the norms equal theirs bit for
     bit; only a slab whose evolution components exceed 2**500 in magnitude
@@ -349,7 +432,7 @@ def maxwell_residual(f_t: ComplexFieldGrid, f_plus: ComplexFieldGrid,
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be a positive finite number, got {dt}")
     for other in (f_plus, f_minus):
-        if other.values.shape != f_t.values.shape:
+        if other.n_grid != f_t.n_grid:
             raise ValueError("snapshot grids differ in shape")
         if other.spacing != f_t.spacing:
             raise ValueError("snapshot grids differ in spacing")
@@ -361,13 +444,12 @@ def maxwell_residual(f_t: ComplexFieldGrid, f_plus: ComplexFieldGrid,
         mag = mags[:, :x1 - x0]
         div_norms.append(np.max(np.abs(_divergence(v, h, a, b), out=mag[0])))
         # the operations and operand order of (F+ - F-) / 2dt + 1j * curl F
+        planes = np.arange(x0, x1)
         for c in range(3):
             _curl_component(v, c, h, a, b)
             np.multiply(1j, a, out=a)
-            plus, minus = (g.values[x0:x1, ..., c] for g in (f_plus, f_minus))
-            if z is not None:
-                plus = np.multiply(z, plus, out=s)
-                minus = np.multiply(z, minus, out=b)
+            plus = _read(f_plus, c, planes, s, z)
+            minus = _read(f_minus, c, planes, b, z)
             np.subtract(plus, minus, out=b)
             _divide_parts(b, 2.0 * dt)  # numpy's b / 2dt bits, see _ddx
             np.add(b, a, out=b)
@@ -399,14 +481,16 @@ def _largest_magnitude(mag: np.ndarray) -> float:
 # the scaling symmetry
 # ---------------------------------------------------------------------------
 
-def scale_field(f: ComplexFieldGrid, z: complex) -> ComplexFieldGrid:
-    """Multiply the field by a nonzero complex number.
+def scale_field(f: Field, z: complex) -> ComplexFieldGrid:
+    """Multiply the field by a nonzero complex number, into a stored grid.
 
     z = i swaps the roles of the real and imaginary parts up to sign,
     (E, B) -> (-B, E); a general z = a + ib mixes them linearly.  z = 0 is
     rejected because it is not a symmetry (it forgets the solution).
     """
-    return ComplexFieldGrid._adopt(_symmetry_factor(z) * f.values,
+    z = _symmetry_factor(z)
+    values = _stored(f)
+    return ComplexFieldGrid._adopt(np.multiply(z, values, out=values),
                                    f.spacing, f.time)
 
 
@@ -428,8 +512,8 @@ def zero_field(n_grid: int = DEFAULT_GRID, time: float = 0.0) -> ComplexFieldGri
 def study_level(spec: PlaneWaveSpec, n_grid: int,
                 dt_ratio: float = DEFAULT_DT_RATIO
                 ) -> tuple[tuple[int, float, float, float],
-                           tuple[ComplexFieldGrid, ComplexFieldGrid,
-                                 ComplexFieldGrid, float]]:
+                           tuple[PlaneWaveField, PlaneWaveField,
+                                 PlaneWaveField, float]]:
     """One grid of the convergence study: the row (n_grid, spacing,
     div_norm, evolution_norm) and the snapshots (f_t, f_plus, f_minus, dt)
     whose residual it holds."""

@@ -427,9 +427,9 @@ def test_axis_aligned_maxwell_wave_fails_without_a_crash(tmp_path):
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_rescaling_check_fails_on_a_non_finite_field(bad):
-    f_t, f_plus, f_minus, dt = mx.wave_snapshots(mx.make_helicity_wave(
-        (1, 2, 2)), 8)
-    values = f_t.values.copy()
+    spec = mx.make_helicity_wave((1, 2, 2))
+    f_t, f_plus, f_minus, dt = mx.wave_snapshots(spec, 8)
+    values = mx.sample_plane_wave(spec, 8, f_t.time).values.copy()
     values[1, 2, 3, 0] = bad
     f_t = mx.ComplexFieldGrid(values, f_t.spacing, f_t.time)
     with warnings.catch_warnings():
@@ -440,29 +440,25 @@ def test_rescaling_check_fails_on_a_non_finite_field(bad):
     assert check.measured is None and not check.passed
 
 
-def test_maxwell_grid_over_the_memory_budget_exits_two(tmp_path, capsys,
-                                                       monkeypatch):
+def test_maxwell_grid_over_the_maximum_exits_two(tmp_path, capsys,
+                                                monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("a rejected grid must not be sampled")
 
-    monkeypatch.setattr(mx, "sample_plane_wave", no_sampling)
-    _exits_two_with_one_line(["maxwell", "--grid", "100000",
-                              "--out", str(tmp_path)], capsys)
-    # the largest grid whose modelled peak fits the budget
-    largest = int((cli.MAXWELL_MEMORY_BUDGET
-                   / cli.MAXWELL_BYTES_PER_POINT) ** (1.0 / 3.0))
-    while cli.maxwell_peak_bytes(largest) > cli.MAXWELL_MEMORY_BUDGET:
-        largest -= 1
-    for grid in (128, largest):
+    for name in ("PlaneWaveField", "sample_plane_wave"):
+        monkeypatch.setattr(mx, name, no_sampling)
+    for grid in (cli.MAX_MAXWELL_GRID + 1, 100000):
+        _exits_two_with_one_line(["maxwell", "--grid", str(grid),
+                                  "--out", str(tmp_path)], capsys)
+    assert not (tmp_path / "manifest_maxwell.json").exists()
+    for grid in (128, cli.MAX_MAXWELL_GRID):
         cli._validate_config("maxwell", {"grid": grid, "k": [1, 2, 2]})
-    with pytest.raises(cli.UsageError):
-        cli._validate_config("maxwell", {"grid": largest + 1,
-                                         "k": [1, 2, 2]})
+    assert cli.MAX_MAXWELL_GRID == 307
 
 
 def test_maxwell_peak_memory_is_the_budgeted_bytes_per_point(tmp_path):
     # numpy reports its buffers to tracemalloc, so the traced peak of a run
-    # is what maxwell_peak_bytes claims, within the small arrays and
+    # is what mx.residual_peak_bytes claims, within the small arrays and
     # interpreter objects a run also holds
     n = 64
     cfg = resolve_config("maxwell", {"grid": n})
@@ -472,18 +468,23 @@ def test_maxwell_peak_memory_is_the_budgeted_bytes_per_point(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 0.95 <= peak / cli.maxwell_peak_bytes(n) <= 1.03
+    assert 0.95 <= peak / mx.residual_peak_bytes(n) <= 1.03
 
 
 def test_maxwell_samples_each_level_once(tmp_path, monkeypatch):
+    # three plane-wave fields per level, and no stored grid
     calls = []
-    sample = mx.sample_plane_wave
+    field = mx.PlaneWaveField
 
     def counted(spec, n_grid, time):
         calls.append(n_grid)
-        return sample(spec, n_grid, time)
+        return field(spec, n_grid, time)
 
-    monkeypatch.setattr(mx, "sample_plane_wave", counted)
+    def stored(*args, **kwargs):
+        raise AssertionError("a maxwell run stores no sampled grid")
+
+    monkeypatch.setattr(mx, "PlaneWaveField", counted)
+    monkeypatch.setattr(mx, "sample_plane_wave", stored)
     assert main(["maxwell", "--grid", "32", "--out", str(tmp_path)]) == 0
     assert sorted(calls) == [8] * 3 + [16] * 3 + [32] * 3
 

@@ -77,6 +77,20 @@ def test_mu_rejected_above_two_dimensions():
         PotentialSolution(n=3, q=1.0, mu=1.0)
 
 
+@pytest.mark.parametrize("mu", [math.inf, math.nan, 0.0])
+def test_reference_radius_must_be_positive_and_finite(mu):
+    # an infinite mu used to fail later, with "math domain error"
+    with pytest.raises(ValueError, match="mu"):
+        PotentialSolution(n=2, q=1.0, mu=mu)
+
+
+@pytest.mark.parametrize("lam", [math.inf, math.nan, -2.0])
+def test_scale_factor_must_be_positive_and_finite(lam):
+    # an infinite lam used to fail later, in the constructor of mu / lam
+    with pytest.raises(ValueError, match="lam"):
+        ScalingTransform(lam)
+
+
 def test_dimension_must_be_at_least_two():
     with pytest.raises(ValueError):
         PotentialSolution(n=1, q=1.0)

@@ -16,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssb_lab.maxwell import (BOX_LENGTH, ComplexFieldGrid, PlaneWaveSpec,
-                             _ddx, _slabs, discrete_curl, discrete_div,
+from ssb_lab.maxwell import (BOX_LENGTH, ComplexFieldGrid, PlaneWaveField,
+                             PlaneWaveSpec, _ddx, _slabs, discrete_curl,
+                             discrete_div,
                              make_helicity_wave, maxwell_residual,
                              sample_plane_wave, scale_field, study_level,
                              wave_snapshots, wave_vector, zero_field)
@@ -254,6 +255,70 @@ def test_snapshots_are_centered_in_time():
     assert dt == pytest.approx(0.1 * BOX_LENGTH / 8)
 
 
+@pytest.mark.parametrize("time", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_time_is_rejected(time):
+    # an infinite time used to sample an all-NaN grid, with a warning
+    spec = make_helicity_wave((1, 2, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for make in (lambda: PlaneWaveField(spec, 8, time),
+                     lambda: sample_plane_wave(spec, 8, time=time),
+                     lambda: ComplexFieldGrid(
+                         np.zeros((4, 4, 4, 3), dtype=complex), 0.1, time)):
+            with pytest.raises(ValueError, match="time"):
+                make()
+
+
+def test_plane_wave_field_validation_and_read_only_factors():
+    spec = make_helicity_wave((1, 2, 2))
+    with pytest.raises(ValueError, match="at least 4"):
+        PlaneWaveField(spec, 3)
+    with pytest.raises(TypeError):
+        PlaneWaveField(spec, 8.0)
+    f = PlaneWaveField(spec, 8, 0.5)
+    assert (f.n_grid, f.spacing, f.time) == (8, BOX_LENGTH / 8, 0.5)
+    assert f.px.shape == (3, 8) and f.eyz.shape == (8, 8)
+    for factor in (f.px, f.eyz):
+        with pytest.raises(ValueError):
+            factor[0, 0] = 1.0
+
+
+_WAVE_VECTOR = st.tuples(*[st.integers(-6, 6)] * 3).filter(any)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_WAVE_VECTOR, st.integers(4, 20), st.floats(-10.0, 10.0),
+       st.data())
+def test_sampled_planes_equal_the_stored_grid_bit_for_bit(k, n, time, data):
+    # any list of x-planes, taken modulo N, so -1 and N are the two ends
+    planes = np.array([-1, *data.draw(st.lists(st.integers(-1, n),
+                                               max_size=n)), n])
+    spec = make_helicity_wave(k, amplitude=0.6 - 0.8j)
+    stored = sample_plane_wave(spec, n, time)
+    for f in (PlaneWaveField(spec, n, time), stored):
+        for c in range(3):
+            out = np.empty((len(planes), n, n), dtype=complex)
+            assert f.read_planes(c, planes, out).tobytes() \
+                == stored.values[planes % n, ..., c].tobytes()
+
+
+@pytest.mark.parametrize("n_grid", [4, 5, 8, 9, 13, 17, 20])
+@pytest.mark.parametrize("z", [None, 1j, 2.0 - 3.0j])
+def test_residual_of_sampled_fields_equals_residual_of_stored_grids(n_grid,
+                                                                    z):
+    # one slab, a slab and one plane, and several slabs
+    for k in WAVE_VECTORS:
+        spec = make_helicity_wave(k, amplitude=0.6 - 0.8j)
+        *fields, dt = wave_snapshots(spec, n_grid, time=0.37)
+        stored = [sample_plane_wave(spec, n_grid, f.time) for f in fields]
+        assert maxwell_residual(*fields, dt, z=z) \
+            == maxwell_residual(*stored, dt, z=z)
+    assert discrete_div(fields[0]).tobytes() \
+        == discrete_div(stored[0]).tobytes()
+    assert discrete_curl(fields[0]).tobytes() \
+        == discrete_curl(stored[0]).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # residuals against the closed forms
 # ---------------------------------------------------------------------------
@@ -373,8 +438,9 @@ def test_fused_residual_equals_unfused_formula_bit_for_bit(n, component_major,
 @pytest.mark.parametrize("n_grid", [8, 16])
 def test_fused_residual_equals_unfused_formula_on_sampled_waves(n_grid):
     for k in WAVE_VECTORS:
-        snapshots = wave_snapshots(make_helicity_wave(k), n_grid)
-        assert maxwell_residual(*snapshots) == _unfused_residual(*snapshots)
+        *fields, dt = wave_snapshots(make_helicity_wave(k), n_grid)
+        stored = [sample_plane_wave(f.spec, n_grid, f.time) for f in fields]
+        assert maxwell_residual(*fields, dt) == _unfused_residual(*stored, dt)
 
 
 def test_axis_aligned_wave_has_zero_discrete_divergence():
