@@ -65,9 +65,9 @@ _CONFIG_KEYS = frozenset().union(*DEFAULTS.values())
 # per axis); N >= 5 gives the two distinct levels a convergence ratio needs
 MIN_MAXWELL_GRID = 5
 # a run samples its waves as the residuals read them, so its memory grows
-# only as N^2 (mx.residual_peak_bytes, 100 MiB at N = 307) and no longer
-# limits the grid; its time grows as N^3, from about 1 s at N = 128 to
-# about 11 s here
+# only as N^2 (mx.residual_peak_bytes, 56 MiB at N = 307) and no longer
+# limits the grid; its time grows as N^3, from about 0.8 s at N = 128 to
+# about 10 s here
 MAX_MAXWELL_GRID = 307
 # squared distances overflow (past 1.8e308) from coordinates of about 1e154
 MAX_COORDINATE = 1e150
@@ -230,8 +230,7 @@ def _run_ode(cfg: dict[str, Any], out_dir: str) -> tuple[list, list[str]]:
     rng = np.random.default_rng(int(cfg["seed"]))
     trials = int(cfg["trials"])
     errors = []
-    for _ in range(trials):
-        c, a, b = rng.uniform(-5.0, 5.0, size=3)
+    for c, a, b in rng.uniform(-5.0, 5.0, size=(trials, 3)).tolist():
         two_step = ode.translate_solution(ode.translate_solution(c, a), b)
         one_step = ode.translate_solution(c, a + b)
         scale = max(abs(one_step), 1e-300)

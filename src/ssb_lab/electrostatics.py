@@ -128,13 +128,19 @@ def apply_scaling(sol: PotentialSolution,
 
     For n > 2 the potential maps exactly onto itself (shift 0).  For n = 2
     the reference radius moves to mu / lambda, which shifts the potential by
-    the constant -(q / 2 pi) log lambda.
+    the constant -(q / 2 pi) log lambda.  ValueError when mu / lambda
+    falls outside the positive finite floats.
     """
     if sol.n > 2:
         return sol, 0.0
     lam = transform.lam
+    mu = sol.mu / lam
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"the scaled reference radius mu / lam = "
+                         f"{sol.mu!r} / {lam!r} falls outside the float "
+                         f"range")
     shift = -(sol.q / (2.0 * math.pi)) * math.log(lam)
-    return PotentialSolution(n=2, q=sol.q, mu=sol.mu / lam), shift
+    return PotentialSolution(n=2, q=sol.q, mu=mu), shift
 
 
 # ---------------------------------------------------------------------------

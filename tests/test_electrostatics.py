@@ -190,6 +190,15 @@ def test_scaling_in_two_dimensions_shifts_by_a_constant():
             potential(sol, r) + shift, rel=1e-13)
 
 
+@pytest.mark.parametrize("mu, lam", [(1e-300, 1e300), (1e300, 1e-300)])
+def test_a_scaled_reference_radius_outside_the_floats_is_rejected(mu, lam):
+    # mu / lam underflows to 0 or overflows to inf; the error names the
+    # quotient, not the mu argument the caller passed and that is valid
+    sol = PotentialSolution(n=2, q=1.0, mu=mu)
+    with pytest.raises(ValueError, match=r"mu / lam = .* outside the float"):
+        apply_scaling(sol, ScalingTransform(lam))
+
+
 @pytest.mark.parametrize("lam", [0.5, 2.0, math.e, 10.0])
 @pytest.mark.parametrize("q", [1.0, 3.0])
 def test_two_dimensional_field_scales_as_one_over_lambda(q, lam):

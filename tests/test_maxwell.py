@@ -108,8 +108,8 @@ def _random_field(rng, n, component_major):
     return np.moveaxis(v, 0, -1) if component_major else v
 
 
-# grids of one slab and of several: below the slab height, one plane past
-# a multiple of it, and neither
+# grids of one slab and of several: one plane past a multiple of the slab
+# height, a multiple, and neither
 _GRID_SIZES = st.one_of(st.sampled_from([4, 7, 9, 12, 17, 33]),
                         st.integers(4, 40))
 _SEEDS = st.integers(0, 2 ** 32 - 1)
@@ -365,6 +365,45 @@ def test_slice_stencil_equals_rolled_copies_bit_for_bit(n, axis,
                        np.empty((x1 - x0, n, n), dtype=complex))
             want = _roll_ddx(f.values[..., c], axis, f.spacing)[x0:x1]
             assert got.tobytes() == want.tobytes()
+
+
+# with slabs of 4 planes the last slab holds 4 (N = 4), 1 (5, 13), 2 (6, 18)
+# or 3 (7, 19) planes
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 13, 18, 19])
+@pytest.mark.parametrize("axis", [1, 2])
+def test_flat_stencil_writes_the_rolled_difference_into_out(n, axis):
+    # the y and z differences run over the flattened slab, so every entry,
+    # the wrapped ends too, and inf or NaN operands, must come out as the
+    # rolled copies' difference times 1/2h, bit for bit, in the caller's out
+    rng = np.random.default_rng(n)
+    values = _random_field(rng, n, False)
+    flat = values.reshape(-1)
+    spots = rng.choice(flat.size, size=flat.size // 20, replace=False)
+    flat[spots] = rng.choice([np.inf, -np.inf, np.nan, complex(np.inf, np.nan),
+                              complex(1.0, -np.inf)], size=spots.size)
+    for edge in (0, -1):  # a non-finite entry in each wrapped end
+        values[n // 2, 1, edge, 2] = values[n // 2, edge, 1, 1] = np.nan
+    h = 0.3
+    f = ComplexFieldGrid(values, h, 0.0)
+    with np.errstate(all="ignore"):
+        for x0, x1, v in _slabs(f):
+            for c in range(3):
+                out = np.empty((x1 - x0, n, n), dtype=complex)
+                assert _ddx(v[c], axis, h, out) is out
+                rolled = f.values[x0:x1, ..., c]
+                want = np.roll(rolled, -1, axis) - np.roll(rolled, 1, axis)
+                parts = want.view(float)
+                parts *= 1.0 / (2.0 * h)
+                assert out.tobytes() == want.tobytes()
+    assert x1 - x0 == (n - 1) % 4 + 1  # the last slab's height
+
+
+def test_flat_stencil_rejects_an_out_that_is_not_contiguous():
+    # flattening such an out would copy it and drop the writes silently
+    slab = np.ones((3, 6, 6), dtype=complex)
+    out = np.empty((1, 6, 12), dtype=complex)[..., ::2]
+    with pytest.raises(ValueError, match="contiguous"):
+        _ddx(slab, 2, 0.1, out)
 
 
 @settings(derandomize=True, deadline=None)
