@@ -6,11 +6,13 @@ solution set may or may not retain that symmetry: x^2 - 1 = 0 has only the
 asymmetric pair {-1, +1}, while x^4 - x^2 = 0 also has the symmetric root 0.
 Filtering the quartic's critical points for stability (keeping minima only)
 removes the symmetric candidate again.  This module finds roots and critical
-points and hands the resulting solution sets to the symmetry classifier.
+points, each root between two consecutive critical points, and hands the
+resulting solution sets to the symmetry classifier.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -19,19 +21,20 @@ import numpy as np
 from .symmetry import PointConfig, SSBVerdict, classify_ssb, sign_flip_group
 
 DEFAULT_TOL = 1e-10
-_SCAN_POINTS = 4001
 _DEDUPE_TOL = 1e-4  # resolution limit; nearer candidates merge into one root
 _CLASSIFY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Real polynomial with coefficients in ascending order of power."""
+    """Real polynomial with finite coefficients in ascending order of power."""
 
     coefficients: tuple[float, ...]
 
     def __post_init__(self) -> None:
         coeffs = [float(c) for c in self.coefficients]
+        if not all(math.isfinite(c) for c in coeffs):
+            raise ValueError(f"coefficients must be finite, got {coeffs}")
         while coeffs and coeffs[-1] == 0.0:
             coeffs.pop()
         if not coeffs:
@@ -43,16 +46,11 @@ class Polynomial:
         return len(self.coefficients) - 1
 
     def __call__(self, x):
-        """Horner evaluation; works on scalars and numpy arrays."""
-        if isinstance(x, float):  # the root polishers' hot path
-            acc = 0.0
-            for c in reversed(self.coefficients):
-                acc = acc * x + c
-            return acc
-        acc = np.zeros_like(np.asarray(x, dtype=float))
+        """Horner evaluation; works on floats and numpy arrays alike."""
+        acc = 0.0
         for c in reversed(self.coefficients):
             acc = acc * x + c
-        return acc if acc.ndim else float(acc)
+        return acc
 
     def derivative(self) -> Polynomial:
         if self.degree == 0:
@@ -140,52 +138,46 @@ def _newton_polish(p: Polynomial, dp: Polynomial, x: float) -> float:
 
 
 def real_roots(p: Polynomial, bracket: tuple[float, float],
-               tol: float = DEFAULT_TOL,
-               scan_points: int = _SCAN_POINTS) -> list[PolyRoot]:
+               tol: float = DEFAULT_TOL) -> list[PolyRoot]:
     """All real roots of p inside the bracket, sorted, with multiplicities.
 
-    Sign changes on a fine scan are bisected and Newton-polished.  Roots of
-    even multiplicity never change sign, so critical points of p (roots of p')
-    where |p| falls below tol * coefficient scale are added as well.  Two
-    simple roots inside one scan step leave no sign change on the scan, but
-    p is monotone between consecutive critical points, so each such interval
-    whose ends differ in sign and that holds no root yet gets one bisected.
+    The critical points of p (the roots of p', found by the same search)
+    and the bracket's ends split the bracket into intervals on which p is
+    monotone, so each holds at most one root.  An interval whose ends differ
+    in sign gets its root bisected and Newton-polished.  Roots of even
+    multiplicity never change sign: a critical point where |p| falls below
+    tol * coefficient scale is one.  An end where p is exactly 0 is a root.
 
     Near a multiple root the polynomial is flat and rounding noise limits
     how precisely any candidate can be located, so candidates closer than
     1e-4 are treated as one root (the one with the smallest residual wins).
     Distinct roots closer than that are still reported as one.
+
+    When every odd coefficient is exactly 0 and the bracket is symmetric,
+    p(-x) equals p(x) bit for bit.  The critical points, the bisection
+    midpoints and the Newton steps then mirror exactly, and the roots come
+    out as exact +- pairs.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"bracket ({lo}, {hi}) is not finite")
     if not lo < hi:
         raise ValueError(f"empty bracket ({lo}, {hi})")
     if p.degree < 1:
         raise ValueError("constant polynomials have no roots to find")
 
     dp = p.derivative()
+    crit = ([r.location for r in real_roots(dp, bracket, tol)]
+            if dp.degree >= 1 else [])
+    # even-multiplicity roots hide at critical points
     scale = p.coefficient_scale()
-    grid = np.linspace(lo, hi, scan_points)
-    vals = p(grid)
-    zero = vals == 0.0
-    change = ~zero[:-1] & ((vals[:-1] < 0.0) != (vals[1:] < 0.0))
-
-    candidates = grid[zero].tolist()
-    for a, b in zip(grid[:-1][change].tolist(), grid[1:][change].tolist()):
-        candidates.append(_newton_polish(p, dp, _bisect(p, a, b)))
-
-    if dp.degree >= 1:
-        crit = [cp.location
-                for cp in real_roots(dp, bracket, tol, scan_points)]
-        # even-multiplicity roots hide at critical points
-        candidates.extend(x for x in crit
-                          if abs(p(x)) <= tol * max(scale, 1.0))
-        # close pairs of simple roots hide between critical points
-        ends = [lo, *(x for x in crit if lo < x < hi), hi]
-        for a, b in zip(ends[:-1], ends[1:]):
-            fa, fb = p(a), p(b)
-            if (fa != 0.0 and fb != 0.0 and (fa < 0.0) != (fb < 0.0)
-                    and not any(a <= c <= b for c in candidates)):
-                candidates.append(_newton_polish(p, dp, _bisect(p, a, b)))
+    candidates = [x for x in crit if abs(p(x)) <= tol * max(scale, 1.0)]
+    candidates.extend(x for x in (lo, hi) if p(x) == 0.0)
+    ends = [lo, *(x for x in crit if lo < x < hi), hi]
+    vals = [p(x) for x in ends]
+    for a, b, fa, fb in zip(ends[:-1], ends[1:], vals[:-1], vals[1:]):
+        if fa != 0.0 and fb != 0.0 and (fa < 0.0) != (fb < 0.0):
+            candidates.append(_newton_polish(p, dp, _bisect(p, a, b)))
 
     chain = _derivative_chain(p)
     roots: list[PolyRoot] = []

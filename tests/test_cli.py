@@ -462,6 +462,8 @@ def test_maxwell_peak_memory_is_the_budgeted_bytes_per_point(tmp_path):
     # interpreter objects a run also holds
     n = 64
     cfg = resolve_config("maxwell", {"grid": n})
+    # a small run first, so numpy's first-call allocations are not traced
+    cli._run_maxwell(resolve_config("maxwell", {"grid": 8}), str(tmp_path))
     tracemalloc.start()
     try:
         cli._run_maxwell(cfg, str(tmp_path))

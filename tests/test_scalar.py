@@ -16,9 +16,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ssb_lab.scalar import (DOUBLE_WELL, SQUARE_POLY, CriticalKind,
-                            Polynomial, SignFlipProblem, critical_points,
-                            real_roots, stable_minima, z2_solutions,
-                            z2_verdict)
+                            Polynomial, PolyRoot, SignFlipProblem,
+                            critical_points, real_roots, stable_minima,
+                            z2_solutions, z2_verdict)
 from ssb_lab.symmetry import SSBKind
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -53,6 +53,19 @@ def _scan_sign_changes(p, lo=-10.0, hi=10.0, step=1e-6, chunk=1_000_000):
 def test_zero_polynomial_rejected():
     with pytest.raises(ValueError):
         Polynomial((0.0, 0.0))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Polynomial((-1.0, 0.0, math.inf)),
+    lambda: Polynomial((math.nan, 1.0)),
+    lambda: real_roots(SQUARE_POLY, (0.5, math.inf)),
+    lambda: real_roots(SQUARE_POLY, (-math.inf, math.inf)),
+    lambda: real_roots(SQUARE_POLY, (math.nan, 3.0)),
+], ids=["inf_coefficient", "nan_coefficient", "inf_end", "inf_bracket",
+        "nan_end"])
+def test_non_finite_input_rejected(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_trailing_zero_coefficients_trimmed():
@@ -108,6 +121,9 @@ def test_square_poly_roots():
     assert [r.multiplicity for r in roots] == [1, 1]
     np.testing.assert_allclose([r.location for r in roots], [-1.0, 1.0],
                                atol=1e-12)
+    # a root on a bracket end shows no sign change inside the bracket
+    assert real_roots(SQUARE_POLY, (1.0, 3.0)) == [PolyRoot(1.0, 1)]
+    assert real_roots(SQUARE_POLY, (-3.0, -1.0)) == [PolyRoot(-1.0, 1)]
 
 
 def test_double_well_roots_and_multiplicities():
@@ -115,6 +131,7 @@ def test_double_well_roots_and_multiplicities():
     assert [r.multiplicity for r in roots] == [1, 2, 1]
     np.testing.assert_allclose([r.location for r in roots], [-1.0, 0.0, 1.0],
                                atol=1e-10)
+    assert real_roots(DOUBLE_WELL, (0.0, 0.5)) == [PolyRoot(0.0, 2)]
 
 
 @pytest.mark.parametrize("p", [SQUARE_POLY, DOUBLE_WELL])
@@ -176,13 +193,12 @@ def _even_poly(radii, zero=False):
     return Polynomial(tuple([0.0, 0.0, *coeffs] if zero else coeffs))
 
 
-def test_close_root_pair_inside_one_scan_step():
-    # 1.8264 and 1.8345 are 0.008 apart; the +-29.6 bracket scans in steps
-    # of 0.0148, so the scan may see no sign change between them
+def test_close_root_pair_split_by_a_critical_point():
+    # 1.8264 and 1.8345 are 0.008 apart on a +-29.6 bracket; the critical
+    # point between them puts each in an interval of its own
     radii = [1.8264, 1.8345, 1.5652]
     p = _even_poly(radii)
     bound = p.cauchy_root_bound() + 1.0
-    assert 2.0 * bound / 4000 > 0.0081
     roots = real_roots(p, (-bound, bound))
     expected = sorted([-r for r in radii] + radii)
     assert [r.multiplicity for r in roots] == [1] * 6
@@ -194,7 +210,7 @@ def test_close_root_pair_inside_one_scan_step():
 def _spaced_radii(draw):
     radii = draw(st.lists(st.floats(0.1, 2.0), min_size=1, max_size=3))
     gap = draw(st.none() | st.floats(1e-3, 0.02))
-    if gap is not None:  # a partner that can share its scan step
+    if gap is not None:  # a close partner the search must tell apart
         r = radii[0]
         radii.append(r + gap if r + gap <= 2.0 else r - gap)
     assume(all(abs(a - b) >= 1e-3
@@ -210,6 +226,8 @@ def test_even_polynomial_roots_recovered(radii, zero):
     expected = sorted([-r for r in radii] + radii + ([0.0] if zero else []))
     found = [r.location for r in real_roots(p, (-bound, bound))]
     assert len(found) == len(expected)
+    # p(-x) == p(x) bit for bit, so the roots are exact sign-flip pairs
+    assert found == [-x for x in reversed(found)]
     np.testing.assert_allclose(found, expected, atol=1e-8)
 
 
