@@ -12,6 +12,7 @@ resulting solution sets to the symmetry classifier.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -94,12 +95,18 @@ def _derivative_chain(p: Polynomial) -> list[Polynomial]:
     return chain
 
 
-def _multiplicity(chain: list[Polynomial], x: float, tol: float) -> int:
-    """Number of leading derivatives vanishing at x (relative to each
-    derivative's own coefficient scale), at least 1 for a root."""
+def _limits(chain: list[Polynomial], tol: float) -> list[float]:
+    """tol relative to each derivative's own coefficient scale (at least 1):
+    a value at or below its limit counts as zero."""
+    return [tol * max(q.coefficient_scale(), 1.0) for q in chain]
+
+
+def _multiplicity(chain: list[Polynomial], limits: list[float],
+                  x: float) -> int:
+    """Number of leading derivatives vanishing at x, at least 1 for a root."""
     m = 0
-    for q in chain:
-        if abs(q(x)) <= tol * max(q.coefficient_scale(), 1.0):
+    for q, limit in zip(chain, limits):
+        if abs(q(x)) <= limit:
             m += 1
         else:
             break
@@ -123,13 +130,26 @@ def _bisect(p: Polynomial, lo: float, hi: float) -> float:
 
 
 def _newton_polish(p: Polynomial, dp: Polynomial, x: float) -> float:
-    best_x, best_val = x, abs(p(x))
+    """The Newton iterate from x with the smallest |p|, x included.
+
+    Each step evaluates p and p' once.  It stops after 30 steps, where
+    p' = 0, where p = 0, or at the first iterate it has seen before: the
+    step map is deterministic, so from a repeat on it only revisits
+    iterates whose |p| it has already compared.
+    """
+    fx = p(x)
+    best_x, best_val = x, abs(fx)
+    seen = {x}
     for _ in range(30):
         d = dp(x)
         if d == 0.0:
             break
-        x = x - p(x) / d
-        val = abs(p(x))
+        x = x - fx / d
+        if x in seen:
+            break
+        seen.add(x)
+        fx = p(x)
+        val = abs(fx)
         if val < best_val:
             best_x, best_val = x, val
         if val == 0.0:
@@ -137,41 +157,21 @@ def _newton_polish(p: Polynomial, dp: Polynomial, x: float) -> float:
     return best_x
 
 
-def real_roots(p: Polynomial, bracket: tuple[float, float],
-               tol: float = DEFAULT_TOL) -> list[PolyRoot]:
-    """All real roots of p inside the bracket, sorted, with multiplicities.
-
-    The critical points of p (the roots of p', found by the same search)
-    and the bracket's ends split the bracket into intervals on which p is
-    monotone, so each holds at most one root.  An interval whose ends differ
-    in sign gets its root bisected and Newton-polished.  Roots of even
-    multiplicity never change sign: a critical point where |p| falls below
-    tol * coefficient scale is one.  An end where p is exactly 0 is a root.
-
-    Near a multiple root the polynomial is flat and rounding noise limits
-    how precisely any candidate can be located, so candidates closer than
-    1e-4 are treated as one root (the one with the smallest residual wins).
-    Distinct roots closer than that are still reported as one.
-
-    When every odd coefficient is exactly 0 and the bracket is symmetric,
-    p(-x) equals p(x) bit for bit.  The critical points, the bisection
-    midpoints and the Newton steps then mirror exactly, and the roots come
-    out as exact +- pairs.
-    """
-    lo, hi = float(bracket[0]), float(bracket[1])
+def _check_bracket(lo: float, hi: float) -> None:
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"bracket ({lo}, {hi}) is not finite")
     if not lo < hi:
         raise ValueError(f"empty bracket ({lo}, {hi})")
-    if p.degree < 1:
-        raise ValueError("constant polynomials have no roots to find")
 
-    dp = p.derivative()
-    crit = ([r.location for r in real_roots(dp, bracket, tol)]
+
+def _roots(chain: list[Polynomial], limits: list[float], k: int,
+           lo: float, hi: float) -> list[PolyRoot]:
+    """real_roots of chain[k] on [lo, hi]; chain[k + 1] is its derivative."""
+    p, dp = chain[k], chain[k + 1]
+    crit = ([r.location for r in _roots(chain, limits, k + 1, lo, hi)]
             if dp.degree >= 1 else [])
     # even-multiplicity roots hide at critical points
-    scale = p.coefficient_scale()
-    candidates = [x for x in crit if abs(p(x)) <= tol * max(scale, 1.0)]
+    candidates = [x for x in crit if abs(p(x)) <= limits[k]]
     candidates.extend(x for x in (lo, hi) if p(x) == 0.0)
     ends = [lo, *(x for x in crit if lo < x < hi), hi]
     vals = [p(x) for x in ends]
@@ -179,7 +179,6 @@ def real_roots(p: Polynomial, bracket: tuple[float, float],
         if fa != 0.0 and fb != 0.0 and (fa < 0.0) != (fb < 0.0):
             candidates.append(_newton_polish(p, dp, _bisect(p, a, b)))
 
-    chain = _derivative_chain(p)
     roots: list[PolyRoot] = []
     cluster: list[float] = []
 
@@ -189,7 +188,7 @@ def real_roots(p: Polynomial, bracket: tuple[float, float],
         # rounding can zero p at near-root points too; the candidate where
         # the most derivatives vanish is the actual root, residual breaks ties
         best_mult, best = max(
-            ((_multiplicity(chain, c, tol), c) for c in cluster),
+            ((_multiplicity(chain[k:], limits[k:], c), c) for c in cluster),
             key=lambda mc: (mc[0], -abs(p(mc[1]))))
         if lo - _DEDUPE_TOL <= best <= hi + _DEDUPE_TOL:
             roots.append(PolyRoot(location=best, multiplicity=best_mult))
@@ -203,22 +202,53 @@ def real_roots(p: Polynomial, bracket: tuple[float, float],
     return roots
 
 
+def real_roots(p: Polynomial, bracket: tuple[float, float],
+               tol: float = DEFAULT_TOL) -> list[PolyRoot]:
+    """All real roots of p inside the bracket, sorted, with multiplicities.
+
+    The critical points of p (the roots of p', found by the same search)
+    and the bracket's ends split the bracket into intervals on which p is
+    monotone, so each holds at most one root.  An interval whose ends differ
+    in sign gets its root bisected and Newton-polished until an iterate
+    repeats, at most 30 steps.  Roots of even multiplicity never change
+    sign: a critical point where |p| falls below tol * coefficient scale is
+    one.  An end where p is exactly 0 is a root.  The search builds each
+    derivative of p once and walks down that chain.
+
+    Near a multiple root the polynomial is flat and rounding noise limits
+    how precisely any candidate can be located, so candidates closer than
+    1e-4 are treated as one root (the one with the smallest residual wins).
+    Distinct roots closer than that are still reported as one.
+
+    When every odd coefficient is exactly 0 and the bracket is symmetric,
+    p(-x) equals p(x) bit for bit.  The critical points, the bisection
+    midpoints and the Newton steps then mirror exactly, and the roots come
+    out as exact +- pairs.
+    """
+    lo, hi = float(bracket[0]), float(bracket[1])
+    _check_bracket(lo, hi)
+    if p.degree < 1:
+        raise ValueError("constant polynomials have no roots to find")
+    chain = _derivative_chain(p)
+    return _roots(chain, _limits(chain, tol), 0, lo, hi)
+
+
 def critical_points(p: Polynomial, tol: float = DEFAULT_TOL) -> list[CriticalPoint]:
     """Stationary points of p, classified by the first non-vanishing
     derivative (sign of p'' when it is clearly nonzero)."""
     if p.degree < 2:
         raise ValueError("need degree >= 2 for meaningful critical points")
-    dp = p.derivative()
-    bound = dp.cauchy_root_bound() + 1.0
     chain = _derivative_chain(p)
+    limits = _limits(chain, tol)
+    bound = chain[1].cauchy_root_bound() + 1.0
+    _check_bracket(-bound, bound)
     out: list[CriticalPoint] = []
-    for root in real_roots(dp, (-bound, bound), tol):
+    for root in _roots(chain, limits, 1, -bound, bound):
         x = root.location
         kind: CriticalKind | None = None
         for m in range(2, len(chain)):
-            q = chain[m]
-            val = q(x)
-            if abs(val) > tol * max(q.coefficient_scale(), 1.0):
+            val = chain[m](x)
+            if abs(val) > limits[m]:
                 if m % 2 == 1:
                     kind = CriticalKind.SADDLE
                 else:
@@ -264,18 +294,34 @@ def _line_configs(xs: list[float]) -> list[PointConfig]:
     return [PointConfig(np.array([[x]])) for x in xs]
 
 
+@functools.cache
+def z2_solve(problem: SignFlipProblem, tol: float = DEFAULT_TOL
+             ) -> tuple[PolyRoot, ...] | tuple[CriticalPoint, ...]:
+    """The problem's solutions as the solver returns them: the roots, with
+    their multiplicities, for SQUARE_ROOTS and QUARTIC_ROOTS, and the minima,
+    with their values, for QUARTIC_MINIMA.
+
+    The problems are fixed, so the result is cached per arguments as passed
+    (z2_solutions passes tol), and every caller shares the same tuple of
+    frozen records.
+    """
+    if problem is SignFlipProblem.QUARTIC_MINIMA:
+        return tuple(cp for cp in critical_points(DOUBLE_WELL, tol)
+                     if cp.kind is CriticalKind.MINIMUM)
+    if problem is SignFlipProblem.SQUARE_ROOTS:
+        p = SQUARE_POLY
+    elif problem is SignFlipProblem.QUARTIC_ROOTS:
+        p = DOUBLE_WELL
+    else:
+        raise ValueError(f"unknown problem {problem!r}")
+    bound = p.cauchy_root_bound() + 1.0
+    return tuple(real_roots(p, (-bound, bound), tol))
+
+
 def z2_solutions(problem: SignFlipProblem,
                  tol: float = DEFAULT_TOL) -> list[float]:
     """The solution set of the given problem as plain real numbers."""
-    if problem is SignFlipProblem.SQUARE_ROOTS:
-        p, bound = SQUARE_POLY, SQUARE_POLY.cauchy_root_bound() + 1.0
-        return [r.location for r in real_roots(p, (-bound, bound), tol)]
-    if problem is SignFlipProblem.QUARTIC_ROOTS:
-        p, bound = DOUBLE_WELL, DOUBLE_WELL.cauchy_root_bound() + 1.0
-        return [r.location for r in real_roots(p, (-bound, bound), tol)]
-    if problem is SignFlipProblem.QUARTIC_MINIMA:
-        return stable_minima(DOUBLE_WELL, tol)
-    raise ValueError(f"unknown problem {problem!r}")
+    return [s.location for s in z2_solve(problem, tol)]
 
 
 def z2_verdict(problem: SignFlipProblem,

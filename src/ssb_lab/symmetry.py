@@ -16,7 +16,9 @@ solution exists), or narrow breaking (no solution retains the full group).
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -204,8 +206,11 @@ def cyclic_group(k: int) -> FiniteGroup:
     return FiniteGroup(tuple(elements))
 
 
+@functools.cache
 def sign_flip_group() -> FiniteGroup:
-    """The two-element group {+1, -1} acting on the real line."""
+    """The two-element group {+1, -1} acting on the real line, built once;
+    the group is frozen and its matrices are read-only, so every caller can
+    share it."""
     return FiniteGroup((
         OrthoTransform(np.array([[1.0]]), label="e"),
         OrthoTransform(np.array([[-1.0]]), label="flip"),
@@ -233,6 +238,10 @@ class PointConfig:
         if pts.ndim != 2:
             raise ValueError(f"points must be an (m, n) array, got shape "
                              f"{pts.shape}")
+        if not all(map(math.isfinite, pts.flat)):
+            bad = np.flatnonzero(~np.isfinite(pts).all(axis=1)).tolist()
+            raise ValueError(f"points {bad} have non-finite coordinates: "
+                             f"{pts[bad].tolist()}")
         m = pts.shape[0]
         if m >= 2:
             # duplicate points make matching ill-defined

@@ -456,6 +456,22 @@ def test_maxwell_grid_over_the_maximum_exits_two(tmp_path, capsys,
     assert cli.MAX_MAXWELL_GRID == 307
 
 
+def test_ode_trials_over_the_maximum_exit_two(tmp_path, capsys,
+                                              monkeypatch):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("rejected trials must not be drawn")
+
+    monkeypatch.setattr(cli, "_run_ode", no_trials)
+    cfg = tmp_path / "settings.json"
+    for trials in (cli.MAX_ODE_TRIALS + 1, 10_000_000_000_000):
+        cfg.write_text(json.dumps({"trials": trials}))
+        _exits_two_with_one_line(["ode", "--config", str(cfg),
+                                  "--out", str(tmp_path)], capsys)
+    assert not (tmp_path / "manifest_ode.json").exists()
+    cli._validate_config("ode", {"trials": cli.MAX_ODE_TRIALS, "seed": 0})
+    assert cli.MAX_ODE_TRIALS == 1_000_000
+
+
 def test_maxwell_peak_memory_is_the_budgeted_bytes_per_point(tmp_path):
     # numpy reports its buffers to tracemalloc, so the traced peak of a run
     # is what mx.residual_peak_bytes claims, within the small arrays and
@@ -504,6 +520,25 @@ def test_all_computes_each_shared_fixture_once(tmp_path, monkeypatch):
     assert run_subcommand("all", {}, str(tmp_path)).all_passed()
     assert sorted(calls) == ["dihedral_group", "optimize_all",
                              "z2_verdict", "z2_verdict", "z2_verdict"]
+
+
+def test_all_solves_each_bundled_sign_flip_problem_once(tmp_path,
+                                                        monkeypatch):
+    # the scalar runner's checks and the three verdicts share one solve
+    calls = []
+    for name in ("real_roots", "critical_points"):
+        def counted(p, *args, _name=name, _function=getattr(scalar, name)):
+            calls.append((_name, p))
+            return _function(p, *args)
+
+        monkeypatch.setattr(scalar, name, counted)
+    for sub in ("scalar", "all"):
+        calls.clear()
+        assert run_subcommand(sub, {}, str(tmp_path)).all_passed()
+        assert sorted(calls, key=repr) == sorted(
+            [("real_roots", scalar.SQUARE_POLY),
+             ("real_roots", scalar.DOUBLE_WELL),
+             ("critical_points", scalar.DOUBLE_WELL)], key=repr)
 
 
 @pytest.mark.parametrize("argv", [

@@ -12,13 +12,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ssb_lab.scalar import (DOUBLE_WELL, SQUARE_POLY, CriticalKind,
                             Polynomial, PolyRoot, SignFlipProblem,
-                            critical_points, real_roots, stable_minima,
-                            z2_solutions, z2_verdict)
+                            _newton_polish, critical_points, real_roots,
+                            stable_minima, z2_solve, z2_solutions, z2_verdict)
 from ssb_lab.symmetry import SSBKind
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -231,6 +231,85 @@ def test_even_polynomial_roots_recovered(radii, zero):
     np.testing.assert_allclose(found, expected, atol=1e-8)
 
 
+def _thirty_step_polish(p, dp, x):
+    """The Newton polish that always ran 30 steps, stopping early only
+    where p' or p is exactly 0, and evaluated p twice per step."""
+    best_x, best_val = x, abs(p(x))
+    for _ in range(30):
+        d = dp(x)
+        if d == 0.0:
+            break
+        x = x - p(x) / d
+        val = abs(p(x))
+        if val < best_val:
+            best_x, best_val = x, val
+        if val == 0.0:
+            break
+    return best_x
+
+
+_COEFFICIENTS = st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=8)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_COEFFICIENTS,
+       st.floats(-10.0, 10.0) | st.floats(100.0, 1e6) | st.floats(-1e6, -100.0),
+       st.booleans())
+@example([-2.0, 0.0, 1.0], 1.5, False)    # iterates cycle next to sqrt(2)
+@example([-1.0, 0.0, 1.0], 1e6, False)    # far from both roots
+@example([-1.0, 0.0, 1.0], 0.0, False)    # p'(0) = 0 at the start
+def test_newton_polish_matches_the_thirty_step_loop(coeffs, start, flat):
+    if flat:  # p'(0) = 0: no step can be taken from 0
+        coeffs[1], start = 0.0, 0.0
+    assume(coeffs[-1] != 0.0)
+    p = Polynomial(tuple(coeffs))
+    dp = p.derivative()
+    assert (_newton_polish(p, dp, start).hex()
+            == _thirty_step_polish(p, dp, start).hex())
+
+
+def test_newton_polish_stops_at_a_repeated_iterate(monkeypatch):
+    p = Polynomial((-2.0, 0.0, 1.0))
+    dp = p.derivative()
+    evaluations = []
+    horner = Polynomial.__call__
+
+    def counted(self, x):
+        evaluations.append(self)
+        return horner(self, x)
+
+    monkeypatch.setattr(Polynomial, "__call__", counted)
+    x = _newton_polish(p, dp, 1.5)
+    assert abs(x - math.sqrt(2.0)) <= 4.5e-16
+    # p and p' once per step; the loop that always ran 30 steps made 61
+    # evaluations of p and 30 of p'
+    assert evaluations.count(dp) < 10
+    assert evaluations.count(p) == evaluations.count(dp)
+
+
+@pytest.mark.parametrize("p", [
+    SQUARE_POLY, DOUBLE_WELL, Polynomial((-8.0, 12.0, -6.0, 1.0)),
+    _even_poly([0.3, 1.1, 1.7], zero=True),
+    Polynomial((1.0, -2.0, 0.5, 3.0, -1.0, 0.25, 2.0, -0.5, 1.0)),
+], ids=["square", "double_well", "cube", "even_octic",
+        "dense_octic"])
+def test_one_search_builds_each_derivative_once(p, monkeypatch):
+    calls = []
+    derivative = Polynomial.derivative
+
+    def counted(self):
+        calls.append(self.degree)
+        return derivative(self)
+
+    monkeypatch.setattr(Polynomial, "derivative", counted)
+    bound = p.cauchy_root_bound() + 1.0
+    real_roots(p, (-bound, bound))
+    assert sorted(calls) == list(range(1, p.degree + 1))
+    calls.clear()
+    critical_points(p)
+    assert sorted(calls) == list(range(1, p.degree + 1))
+
+
 def test_poly_with_no_real_roots():
     p = Polynomial((1.0, 0.0, 1.0))  # x^2 + 1
     assert real_roots(p, (-5.0, 5.0)) == []
@@ -285,6 +364,20 @@ def test_critical_points_needs_degree_two():
 def test_square_root_solutions():
     np.testing.assert_allclose(z2_solutions(SignFlipProblem.SQUARE_ROOTS),
                                [-1.0, 1.0], atol=1e-12)
+
+
+def test_bundled_problems_are_solved_once_and_shared():
+    for problem in SignFlipProblem:
+        solved = z2_solve(problem, 1e-10)
+        assert isinstance(solved, tuple)
+        assert z2_solve(problem, 1e-10) is solved
+        assert z2_solutions(problem) == [s.location for s in solved]
+    minima = z2_solve(SignFlipProblem.QUARTIC_MINIMA)
+    assert [cp.location for cp in minima] == stable_minima(DOUBLE_WELL)
+    assert [cp.kind for cp in minima] == [CriticalKind.MINIMUM] * 2
+    bound = DOUBLE_WELL.cauchy_root_bound() + 1.0
+    assert (list(z2_solve(SignFlipProblem.QUARTIC_ROOTS))
+            == real_roots(DOUBLE_WELL, (-bound, bound)))
 
 
 def test_quartic_minima_solutions():

@@ -124,6 +124,16 @@ def test_sign_flip_group_is_one_dimensional():
     assert verify_group_axioms(z2).ok
 
 
+def test_sign_flip_group_is_built_once_and_read_only():
+    z2 = sign_flip_group()
+    assert sign_flip_group() is z2
+    for t in z2.elements:
+        assert not t.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            t.matrix[0, 0] = 2.0
+    assert [t.matrix.tolist() for t in z2.elements] == [[[1.0]], [[-1.0]]]
+
+
 # ---------------------------------------------------------------------------
 # configurations
 # ---------------------------------------------------------------------------
@@ -131,6 +141,17 @@ def test_sign_flip_group_is_one_dimensional():
 def _square_config(edges=((0, 1), (1, 2), (2, 3), (0, 3))):
     pts = np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
     return PointConfig(pts, edges)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_points_rejected(bad):
+    # without the check even the identity fails to match a NaN point, and
+    # the stabilizer fails with "a group needs at least one element"
+    with pytest.raises(ValueError, match=r"points \[0\] have non-finite "
+                                         r"coordinates: \[\[(nan|-?inf), 0.0\]\]"):
+        stabilizer(dihedral_group(4), PointConfig([[bad, 0.0], [0.3, 0.1]]))
+    with pytest.raises(ValueError, match=r"points \[1, 2\]"):
+        PointConfig([[0.0, 1.0], [0.5, bad], [bad, bad]])
 
 
 def test_duplicate_points_rejected():
