@@ -93,12 +93,24 @@ class UsageError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# runners: each returns (checks, artifact file names) and writes plot data
+# runners: each records its checks and plot-data files into one _Run
 # ---------------------------------------------------------------------------
 
-def _emit(out_dir: str, name: str, writer, *args) -> str:
-    writer(os.path.join(out_dir, name), *args)
-    return name
+class _Run:
+    """The checks and artifact file names of one run, in record order."""
+
+    def __init__(self, out_dir: str) -> None:
+        self.out_dir = out_dir
+        self.checks: list[CheckReport] = []
+        self.artifacts: list[str] = []
+
+    def check(self, *args) -> None:
+        self.checks.append(make_check(*args))
+
+    def emit(self, name: str, writer, *args) -> None:
+        """Write the file ``name`` into the output directory and list it."""
+        writer(os.path.join(self.out_dir, name), *args)
+        self.artifacts.append(name)
 
 
 # shared fixtures: pure results of fixed inputs, computed at most once per
@@ -122,7 +134,7 @@ def _z2_verdict(problem: sc.SignFlipProblem) -> sym.SSBVerdict:
     return sc.z2_verdict(problem)
 
 
-def _run_steiner(cfg: dict[str, Any], out_dir: str) -> tuple[list, list[str]]:
+def _run_steiner(cfg: dict[str, Any], run: _Run) -> None:
     custom = cfg["terminals"] is not None
     if custom:
         nets = st.optimize_all(np.asarray(cfg["terminals"], dtype=float))
@@ -131,108 +143,91 @@ def _run_steiner(cfg: dict[str, Any], out_dir: str) -> tuple[list, list[str]]:
         nets, winners = _square_networks(float(cfg["side"]))
     best = min(net.total_length for net in nets)
 
-    checks = []
-    artifacts = []
     for i, net in enumerate(winners, start=1):
-        artifacts.append(_emit(out_dir, f"steiner_solution_{i}.seg",
-                               write_segments, net.segments()))
+        run.emit(f"steiner_solution_{i}.seg", write_segments, net.segments())
     fermat_ok = all(st.check_fermat_condition(w, tol=1e-9).ok
                     for w in winners)
-    checks.append(make_check("steiner.fermat_condition",
-                             "steiner.junction_angles",
-                             fermat_ok, True))
+    run.check("steiner.fermat_condition", "steiner.junction_angles",
+              fermat_ok, True)
 
     if custom:
-        checks.append(make_check("steiner.solution_count_positive",
-                                 "steiner.minimizers",
-                                 len(winners) >= 1, True))
-        return checks, artifacts
+        run.check("steiner.solution_count_positive", "steiner.minimizers",
+                  len(winners) >= 1, True)
+        return
 
     side = float(cfg["side"])
-    checks.append(make_check("steiner.solution_count", "steiner.minimizers",
-                             len(winners), 2))
-    checks.append(make_check("steiner.best_length", "steiner.square.length",
-                             best, side * (1.0 + math.sqrt(3.0)), 1e-9))
+    run.check("steiner.solution_count", "steiner.minimizers", len(winners), 2)
+    run.check("steiner.best_length", "steiner.square.length",
+              best, side * (1.0 + math.sqrt(3.0)), 1e-9)
     cross = [net for net in nets
              if net.topology.merged and net.topology.n_steiner == 1]
     if cross:
-        artifacts.append(_emit(out_dir, "steiner_guess_x.seg",
-                               write_segments, cross[0].segments()))
-        checks.append(make_check("steiner.x_guess_length",
-                                 "steiner.square.diagonal_cross",
-                                 cross[0].total_length,
-                                 side * math.sqrt(8.0), 1e-12))
+        run.emit("steiner_guess_x.seg", write_segments, cross[0].segments())
+        run.check("steiner.x_guess_length", "steiner.square.diagonal_cross",
+                  cross[0].total_length, side * math.sqrt(8.0), 1e-12)
     else:
-        checks.append(make_check("steiner.x_guess_found",
-                                 "steiner.square.diagonal_cross",
-                                 False, True))
+        run.check("steiner.x_guess_found", "steiner.square.diagonal_cross",
+                  False, True)
     orders = sorted(st.residual_symmetry(w, _d4()).order for w in winners)
-    checks.append(make_check("steiner.stabilizer_orders",
-                             "steiner.square.residual_symmetry",
-                             orders, [4, 4]))
+    run.check("steiner.stabilizer_orders",
+              "steiner.square.residual_symmetry", orders, [4, 4])
     if len(winners) == 2:
         quarter = sym.rotation2d(math.pi / 2.0, label="r90")
         mapped = sym.transform_config(quarter, winners[0].config())
         swapped = sym.config_equal(mapped, winners[1].config(), tol=1e-8)
-        checks.append(make_check("steiner.quarter_turn_swaps_solutions",
-                                 "steiner.square.rotation_between_optima",
-                                 swapped, True))
-    return checks, artifacts
+        run.check("steiner.quarter_turn_swaps_solutions",
+                  "steiner.square.rotation_between_optima", swapped, True)
 
 
-def _run_scalar(cfg: dict[str, Any], out_dir: str) -> tuple[list, list[str]]:
+def _run_scalar(cfg: dict[str, Any], run: _Run) -> None:
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    checks = []
 
     # z2_solutions and z2_verdict pass tol too, so the verdicts below
     # classify these same cached solutions
     tol = sc.DEFAULT_TOL
     xs = sc.z2_solutions(sc.SignFlipProblem.SQUARE_ROOTS, tol)
     err = max(abs(a - b) for a, b in zip(sorted(xs), (-1.0, 1.0)))
-    checks.append(make_check("scalar.square_roots", "scalar.square.roots",
-                             err if len(xs) == 2 else None, 0.0, 1e-10))
+    run.check("scalar.square_roots", "scalar.square.roots",
+              err if len(xs) == 2 else None, 0.0, 1e-10)
 
     roots = sc.z2_solve(sc.SignFlipProblem.QUARTIC_ROOTS, tol)
     locs = [r.location for r in roots]
     err = max(abs(a - b) for a, b in zip(locs, (-1.0, 0.0, 1.0)))
-    checks.append(make_check("scalar.quartic_roots", "scalar.quartic.roots",
-                             err if len(locs) == 3 else None, 0.0, 1e-10))
+    run.check("scalar.quartic_roots", "scalar.quartic.roots",
+              err if len(locs) == 3 else None, 0.0, 1e-10)
     mult = [r.multiplicity for r in roots]
-    checks.append(make_check("scalar.quartic_root_multiplicity",
-                             "scalar.quartic.double_root", mult, [1, 2, 1]))
+    run.check("scalar.quartic_root_multiplicity",
+              "scalar.quartic.double_root", mult, [1, 2, 1])
 
     minima = sc.z2_solve(sc.SignFlipProblem.QUARTIC_MINIMA, tol)
     err = max(abs(a - b) for a, b in zip(sorted(cp.location for cp in minima),
                                          (-inv_sqrt2, inv_sqrt2)))
-    checks.append(make_check("scalar.quartic_minima", "scalar.quartic.minima",
-                             err if len(minima) == 2 else None,
-                             0.0, 1e-10))
+    run.check("scalar.quartic_minima", "scalar.quartic.minima",
+              err if len(minima) == 2 else None, 0.0, 1e-10)
     err = max(abs(cp.value + 0.25) for cp in minima) if minima else None
-    checks.append(make_check("scalar.quartic_minimum_value",
-                             "scalar.quartic.well_depth", err, 0.0, 1e-12))
+    run.check("scalar.quartic_minimum_value", "scalar.quartic.well_depth",
+              err, 0.0, 1e-12)
 
     for problem, expected in SIGN_FLIP_VERDICTS:
         verdict = _z2_verdict(problem)
-        checks.append(make_check(f"scalar.verdict.{problem.value}",
-                                 f"scalar.{problem.value}.verdict",
-                                 verdict.kind.value, expected.value))
+        run.check(f"scalar.verdict.{problem.value}",
+                  f"scalar.{problem.value}.verdict",
+                  verdict.kind.value, expected.value)
         if problem is sc.SignFlipProblem.QUARTIC_ROOTS:
             # the verdict indexes the quartic's roots, which are locs
             idx = verdict.invariant_solution
             witness = locs[idx] if idx is not None else None
-            checks.append(make_check("scalar.symmetric_witness",
-                                     "scalar.quartic.invariant_root",
-                                     witness, 0.0, 1e-9))
+            run.check("scalar.symmetric_witness",
+                      "scalar.quartic.invariant_root", witness, 0.0, 1e-9)
 
     grid = np.linspace(-1.5, 1.5, 301)
     rows = [(float(x), float(sc.DOUBLE_WELL(x)), float(sc.SQUARE_POLY(x)))
             for x in grid]
-    artifacts = [_emit(out_dir, "polynomial_samples.csv", write_csv,
-                       ["x", "double_well", "square_poly"], rows)]
-    return checks, artifacts
+    run.emit("polynomial_samples.csv", write_csv,
+             ["x", "double_well", "square_poly"], rows)
 
 
-def _run_ode(cfg: dict[str, Any], out_dir: str) -> tuple[list, list[str]]:
+def _run_ode(cfg: dict[str, Any], run: _Run) -> None:
     rng = np.random.default_rng(int(cfg["seed"]))
     trials = int(cfg["trials"])
     errors = []
@@ -241,31 +236,27 @@ def _run_ode(cfg: dict[str, Any], out_dir: str) -> tuple[list, list[str]]:
         one_step = ode.translate_solution(c, a + b)
         scale = max(abs(one_step), 1e-300)
         errors.append(abs(two_step - one_step) / scale)
-    checks = [make_check("ode.composition_law", "ode.translation_group",
-                         _worst(errors), 0.0, 1e-12)]
+    run.check("ode.composition_law", "ode.translation_group",
+              _worst(errors), 0.0, 1e-12)
 
-    checks.append(make_check("ode.doubling_shift", "ode.log2_translation",
-                             ode.translate_solution(1.0, math.log(2.0)),
-                             2.0, 1e-12))
+    run.check("ode.doubling_shift", "ode.log2_translation",
+              ode.translate_solution(1.0, math.log(2.0)), 2.0, 1e-12)
 
     fixed = [c for c in np.linspace(-5.0, 5.0, 41).tolist()
              if all(abs(ode.translate_solution(c, a) - c) <= 1e-14
                     for a in (1.0, -1.0, 0.1, -0.1))]
-    checks.append(make_check("ode.unique_fixed_point", "ode.vacuum",
-                             fixed, [0.0]))
-    checks.append(make_check("ode.vacuum_flag", "ode.vacuum",
-                             ode.is_vacuum(0.0) and not ode.is_vacuum(0.5),
-                             True))
+    run.check("ode.unique_fixed_point", "ode.vacuum", fixed, [0.0])
+    run.check("ode.vacuum_flag", "ode.vacuum",
+              ode.is_vacuum(0.0) and not ode.is_vacuum(0.5), True)
 
     xs = np.linspace(-2.0, 2.0, 81)
     rows = [(float(x), float(-math.exp(x)), 0.0, float(math.exp(x)))
             for x in xs]
-    artifacts = [_emit(out_dir, "ode_family.csv", write_csv,
-                       ["x", "c_minus_1", "c_0", "c_1"], rows)]
-    return checks, artifacts
+    run.emit("ode_family.csv", write_csv,
+             ["x", "c_minus_1", "c_0", "c_1"], rows)
 
 
-def _run_maxwell(cfg: dict[str, Any], out_dir: str) -> tuple[list, list[str]]:
+def _run_maxwell(cfg: dict[str, Any], run: _Run) -> None:
     n_grid = int(cfg["grid"])
     ns = sorted({max(4, n_grid // 4), max(4, n_grid // 2), n_grid})
     spec = mx.make_helicity_wave(cfg["k"])
@@ -277,36 +268,33 @@ def _run_maxwell(cfg: dict[str, Any], out_dir: str) -> tuple[list, list[str]]:
     rows.append(row)
     base = row[2:]
 
-    checks = []
     # a norm that is exactly 0 (the divergence of an axis-aligned wave) has
     # no convergence ratio: the check then records null and fails
     div_ratio, evo_ratio = (rows[-2][i] / rows[-1][i] if rows[-1][i] else None
                             for i in (2, 3))
-    checks.append(make_check("maxwell.divergence_convergence",
-                             "maxwell.second_order", div_ratio, 4.0, 0.6))
-    checks.append(make_check("maxwell.evolution_convergence",
-                             "maxwell.second_order", evo_ratio, 4.0, 0.6))
+    run.check("maxwell.divergence_convergence", "maxwell.second_order",
+              div_ratio, 4.0, 0.6)
+    run.check("maxwell.evolution_convergence", "maxwell.second_order",
+              evo_ratio, 4.0, 0.6)
     monotone = all(rows[i][2] > rows[i + 1][2] and rows[i][3] > rows[i + 1][3]
                    for i in range(len(rows) - 1))
-    checks.append(make_check("maxwell.residuals_decrease",
-                             "maxwell.refinement", monotone, True))
+    run.check("maxwell.residuals_decrease", "maxwell.refinement",
+              monotone, True)
 
-    checks.append(_rescaling_check(f_t, f_plus, f_minus, dt, base))
+    run.checks.append(_rescaling_check(f_t, f_plus, f_minus, dt, base))
 
     zero = mx.zero_field(max(4, n_grid // 4))
     vacuum = mx.maxwell_residual(zero, zero, zero, dt)
-    checks.append(make_check("maxwell.vacuum_residual", "maxwell.vacuum",
-                             max(vacuum), 0.0, 0.0))
+    run.check("maxwell.vacuum_residual", "maxwell.vacuum",
+              max(vacuum), 0.0, 0.0)
 
     table = [(n, float(h), float(d), float(e)) for n, h, d, e in rows]
-    artifacts = [_emit(out_dir, "maxwell_convergence.csv", write_csv,
-                       ["n_grid", "h", "div_norm", "evolution_norm"], table)]
-    return checks, artifacts
+    run.emit("maxwell_convergence.csv", write_csv,
+             ["n_grid", "h", "div_norm", "evolution_norm"], table)
 
 
-def _rescaling_check(f_t: mx.ComplexFieldGrid, f_plus: mx.ComplexFieldGrid,
-                     f_minus: mx.ComplexFieldGrid, dt: float,
-                     base: tuple[float, float]) -> CheckReport:
+def _rescaling_check(f_t: mx.Field, f_plus: mx.Field, f_minus: mx.Field,
+                     dt: float, base: tuple[float, float]) -> CheckReport:
     """Whether the residual norms of z * F are |z| times ``base``, the
     norms of F, for z = i and 2 - 3i."""
     errors = []
@@ -331,18 +319,16 @@ def _worst(errors: list[float]) -> float | None:
     return max(errors, default=0.0)
 
 
-def _run_potential(cfg: dict[str, Any], out_dir: str) -> tuple[list, list[str]]:
+def _run_potential(cfg: dict[str, Any], run: _Run) -> None:
     n = int(cfg["n"])
     q = float(cfg["q"])
     mu = float(cfg["mu"])
     lam = float(cfg["lam"])
-    checks = []
 
     four_pi = 4.0 * math.pi
     for nn, area in ((3, four_pi), (4, 2.0 * math.pi ** 2)):
-        checks.append(make_check(f"potential.sphere_area_{nn}d",
-                                 f"geometry.O{nn - 1}",
-                                 es.unit_sphere_area(nn), area, 1e-13 * area))
+        run.check(f"potential.sphere_area_{nn}d", f"geometry.O{nn - 1}",
+                  es.unit_sphere_area(nn), area, 1e-13 * area)
 
     errors = []
     for nn in (3, 4, 5, 6):
@@ -352,9 +338,8 @@ def _run_potential(cfg: dict[str, Any], out_dir: str) -> tuple[list, list[str]]:
                 lhs = lam_ ** (nn - 2) * es.potential(sol, lam_ * r)
                 rhs = es.potential(sol, r)
                 errors.append(_rel_err(lhs, rhs))
-    checks.append(make_check("potential.scaling_identity",
-                             "potential.power_law_scaling", _worst(errors),
-                             0.0, 1e-12))
+    run.check("potential.scaling_identity", "potential.power_law_scaling",
+              _worst(errors), 0.0, 1e-12)
 
     # the 2d shifts and the enclosed charge are linear in q, and so is their
     # rounding: their absolute tolerances grow with |q| (at |q| <= 1, 1e-13)
@@ -366,18 +351,15 @@ def _run_potential(cfg: dict[str, Any], out_dir: str) -> tuple[list, list[str]]:
         for r in (0.3, 1.0, 4.7):
             shift = es.potential(sol2, lam_ * r) - es.potential(sol2, r)
             errors.append(abs(shift - expected_shift))
-    checks.append(make_check("potential.log_anomaly",
-                             "potential.2d_gauge_shift", _worst(errors),
-                             0.0, q_tol))
+    run.check("potential.log_anomaly", "potential.2d_gauge_shift",
+              _worst(errors), 0.0, q_tol)
 
     scaled_sol, gauge_shift = es.apply_scaling(sol2, es.ScalingTransform(lam))
     measured_shift = es.potential(sol2, lam * 1.3) - es.potential(sol2, 1.3)
-    checks.append(make_check("potential.gauge_shift",
-                             "potential.2d_reference_rescale",
-                             measured_shift, gauge_shift, q_tol))
-    checks.append(make_check("potential.reference_moves",
-                             "potential.2d_reference_rescale",
-                             scaled_sol.mu, mu / lam, 1e-13 * mu / lam))
+    run.check("potential.gauge_shift", "potential.2d_reference_rescale",
+              measured_shift, gauge_shift, q_tol)
+    run.check("potential.reference_moves", "potential.2d_reference_rescale",
+              scaled_sol.mu, mu / lam, 1e-13 * mu / lam)
 
     errors = []
     for nn in (2, 3, 4, 6):
@@ -386,9 +368,8 @@ def _run_potential(cfg: dict[str, Any], out_dir: str) -> tuple[list, list[str]]:
             lhs = es.field_magnitude(sol, lam * r)
             rhs = lam ** (-(nn - 1)) * es.field_magnitude(sol, r)
             errors.append(_rel_err(lhs, rhs))
-    checks.append(make_check("potential.field_scaling",
-                             "potential.field_power_law", _worst(errors),
-                             0.0, 1e-13))
+    run.check("potential.field_scaling", "potential.field_power_law",
+              _worst(errors), 0.0, 1e-13)
 
     errors2, errors3 = [], []
     for qq in (1.0, 3.0, -2.0):
@@ -397,19 +378,18 @@ def _run_potential(cfg: dict[str, Any], out_dir: str) -> tuple[list, list[str]]:
             flux3 = es.flux_integral(es.PotentialSolution(n=3, q=qq), r)
             errors2.append(abs(flux2 - qq))
             errors3.append(abs(flux3 - qq))
-    checks.append(make_check("potential.flux_2d", "potential.gauss_2d",
-                             _worst(errors2), 0.0, 1e-9))
-    checks.append(make_check("potential.flux_3d", "potential.gauss_3d",
-                             _worst(errors3), 0.0, 1e-6))
+    run.check("potential.flux_2d", "potential.gauss_2d",
+              _worst(errors2), 0.0, 1e-9)
+    run.check("potential.flux_3d", "potential.gauss_3d",
+              _worst(errors3), 0.0, 1e-6)
 
     errors = []
     for nn in range(2, 9):
         sol = es.PotentialSolution(n=nn, q=q)
         for r in (0.5, 1.0, 5.0):
             errors.append(abs(es.enclosed_charge(sol, r) - q))
-    checks.append(make_check("potential.flux_identity",
-                             "potential.gauss_analytic", _worst(errors), 0.0,
-                             q_tol))
+    run.check("potential.flux_identity", "potential.gauss_analytic",
+              _worst(errors), 0.0, q_tol)
 
     # the stencil checks use a unit charge: at q = 0 the ratio would be 0/0
     errors = []
@@ -422,20 +402,17 @@ def _run_potential(cfg: dict[str, Any], out_dir: str) -> tuple[list, list[str]]:
         res_h = abs(es.laplacian_residual(sol, x, 1e-2))
         res_h2 = abs(es.laplacian_residual(sol, x, 5e-3))
         errors.append(abs(res_h / res_h2 - 4.0))
-    checks.append(make_check("potential.laplacian_convergence",
-                             "potential.off_origin_harmonic",
-                             _worst(errors), 0.0, 0.5))
+    run.check("potential.laplacian_convergence",
+              "potential.off_origin_harmonic", _worst(errors), 0.0, 0.5)
     res = abs(es.laplacian_residual(es.PotentialSolution(n=3, q=four_pi),
                                     np.array([1.0, 0.0, 0.0]), 1e-3))
-    checks.append(make_check("potential.laplacian_residual_small",
-                             "potential.off_origin_harmonic", res, 0.0, 1e-4))
+    run.check("potential.laplacian_residual_small",
+              "potential.off_origin_harmonic", res, 0.0, 1e-4)
 
     sol = es.PotentialSolution(n=n, q=q, mu=mu if n == 2 else None)
     rows = [(r, es.potential(sol, r), es.field_magnitude(sol, r))
             for r in _plot_radii(n, mu)]
-    artifacts = [_emit(out_dir, f"phi_vs_r_n{n}.csv", write_csv,
-                       ["r", "phi", "field"], rows)]
-    return checks, artifacts
+    run.emit(f"phi_vs_r_n{n}.csv", write_csv, ["r", "phi", "field"], rows)
 
 
 def _plot_radii(n: int, mu: float) -> list[float]:
@@ -445,31 +422,24 @@ def _plot_radii(n: int, mu: float) -> list[float]:
                   | ({mu} if n == 2 else set()))
 
 
-def _run_classify(cfg: dict[str, Any], out_dir: str) -> tuple[list, list[str]]:
-    checks = []
+def _run_classify(cfg: dict[str, Any], run: _Run) -> None:
     winners = _square_networks(1.0)[1]
     verdict = sym.classify_ssb(_d4(), [w.config() for w in winners],
                                tol=1e-8)
-    checks.append(make_check("classify.steiner_square",
-                             "classify.square_networks",
-                             verdict.kind.value, sym.SSBKind.NARROW.value))
-    checks.append(make_check("classify.steiner_square_witnesses",
-                             "classify.square_networks",
-                             sorted(w.order for w in verdict.witnesses),
-                             [4, 4]))
+    run.check("classify.steiner_square", "classify.square_networks",
+              verdict.kind.value, sym.SSBKind.NARROW.value)
+    run.check("classify.steiner_square_witnesses", "classify.square_networks",
+              sorted(w.order for w in verdict.witnesses), [4, 4])
 
     square_cfg = sym.PointConfig(st.square_terminals(1.0),
                                  ((0, 1), (1, 2), (2, 3), (0, 3)))
     unbroken = sym.classify_ssb(_d4(), [square_cfg])
-    checks.append(make_check("classify.square_itself", "classify.control",
-                             unbroken.kind.value, sym.SSBKind.UNBROKEN.value))
+    run.check("classify.square_itself", "classify.control",
+              unbroken.kind.value, sym.SSBKind.UNBROKEN.value)
 
     for problem, expected in SIGN_FLIP_VERDICTS:
-        checks.append(make_check(f"classify.{problem.value}",
-                                 f"classify.{problem.value}",
-                                 _z2_verdict(problem).kind.value,
-                                 expected.value))
-    return checks, []
+        run.check(f"classify.{problem.value}", f"classify.{problem.value}",
+                  _z2_verdict(problem).kind.value, expected.value)
 
 
 _RUNNERS = {
@@ -498,18 +468,16 @@ def run_subcommand(name: str, config: dict[str, Any] | None = None,
     except OSError as exc:  # a regular file in the way, or no permission
         raise UsageError(f"cannot use {out_dir!r} as the output directory: "
                          f"{exc.strerror}") from None
-    checks: list = []
-    artifacts: list[str] = []
+    run = _Run(out_dir)
     for sub, cfg in cfgs.items():
-        sub_checks, sub_artifacts = _RUNNERS[sub](cfg, out_dir)
-        checks.extend(sub_checks)
-        artifacts.extend(sub_artifacts)
+        _RUNNERS[sub](cfg, run)
     # every subcommand with a seed resolves the same (validated) one
     seed = next((cfg["seed"] for cfg in cfgs.values() if "seed" in cfg), 0)
     return RunManifest(subcommand=name,
                        config=cfgs if name == "all" else cfgs[name],
-                       seed=seed, version=__version__, reports=tuple(checks),
-                       artifacts=tuple(sorted(artifacts)))
+                       seed=seed, version=__version__,
+                       reports=tuple(run.checks),
+                       artifacts=tuple(sorted(run.artifacts)))
 
 
 def resolve_config(name: str, overrides: dict[str, Any]) -> dict[str, Any]:
@@ -714,22 +682,17 @@ def _overrides_from_args(args: argparse.Namespace) -> dict[str, Any]:
     return overrides
 
 
-def _resolve_and_run(args: argparse.Namespace, out_dir: str) -> RunManifest:
-    config: dict[str, Any] = {}
-    if args.config is not None:
-        loaded = _load_json(args.config, "config file")
-        if not isinstance(loaded, dict):
-            raise UsageError("config file must hold a JSON object")
-        config.update(loaded)
-    config.update(_overrides_from_args(args))
-    return run_subcommand(args.subcommand, config, out_dir)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     out_dir = args.out or os.environ.get(ENV_OUT) or DEFAULT_OUT
     try:
-        manifest = _resolve_and_run(args, out_dir)
+        config: dict[str, Any] = {}
+        if args.config is not None:
+            config = _load_json(args.config, "config file")
+            if not isinstance(config, dict):
+                raise UsageError("config file must hold a JSON object")
+        config.update(_overrides_from_args(args))
+        manifest = run_subcommand(args.subcommand, config, out_dir)
     except UsageError as exc:
         print(f"ssb-lab {args.subcommand}: error: {exc}", file=sys.stderr)
         return 2

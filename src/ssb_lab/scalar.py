@@ -171,13 +171,22 @@ def _roots(chain: list[Polynomial], limits: list[float], k: int,
     crit = ([r.location for r in _roots(chain, limits, k + 1, lo, hi)]
             if dp.degree >= 1 else [])
     # even-multiplicity roots hide at critical points
-    candidates = [x for x in crit if abs(p(x)) <= limits[k]]
-    candidates.extend(x for x in (lo, hi) if p(x) == 0.0)
+    evens = [x for x in crit if abs(p(x)) <= limits[k]]
+    candidates = [*evens, *(x for x in (lo, hi) if p(x) == 0.0)]
     ends = [lo, *(x for x in crit if lo < x < hi), hi]
     vals = [p(x) for x in ends]
-    for a, b, fa, fb in zip(ends[:-1], ends[1:], vals[:-1], vals[1:]):
-        if fa != 0.0 and fb != 0.0 and (fa < 0.0) != (fb < 0.0):
+    changes = [fa != 0.0 and fb != 0.0 and (fa < 0.0) != (fb < 0.0)
+               for fa, fb in zip(vals[:-1], vals[1:])]
+    for a, b, change in zip(ends[:-1], ends[1:], changes):
+        if change:
             candidates.append(_newton_polish(p, dp, _bisect(p, a, b)))
+    # a critical point between two sign changes is an extremum between two
+    # simple roots; near an actual double root rounding can flip p's sign
+    # there too, but then the roots bisected beside it join its cluster;
+    # only even-root candidates are looked up here
+    extrema = {x for x, left, right in zip(ends[1:-1], changes[:-1],
+                                           changes[1:])
+               if left and right} if evens else set()
 
     roots: list[PolyRoot] = []
     cluster: list[float] = []
@@ -190,6 +199,12 @@ def _roots(chain: list[Polynomial], limits: list[float], k: int,
         best_mult, best = max(
             ((_multiplicity(chain[k:], limits[k:], c), c) for c in cluster),
             key=lambda mc: (mc[0], -abs(p(mc[1]))))
+        # where p'' vanishes too, rounding can flip p's sign up to about
+        # 1e-4 from a root of multiplicity 4, beyond the merge distance, so
+        # flanking sign changes there do not rule out an even root
+        if extrema and best_mult <= 2 and all(x in extrema
+                                              for x in cluster):
+            return
         if lo - _DEDUPE_TOL <= best <= hi + _DEDUPE_TOL:
             roots.append(PolyRoot(location=best, multiplicity=best_mult))
 
@@ -212,8 +227,10 @@ def real_roots(p: Polynomial, bracket: tuple[float, float],
     in sign gets its root bisected and Newton-polished until an iterate
     repeats, at most 30 steps.  Roots of even multiplicity never change
     sign: a critical point where |p| falls below tol * coefficient scale is
-    one.  An end where p is exactly 0 is a root.  The search builds each
-    derivative of p once and walks down that chain.
+    one, unless p changes sign on both sides of it, p'' does not vanish
+    there, and no other candidate lies within 1e-4: then it is an extremum
+    between two simple roots.  An end where p is exactly 0 is a root.  The
+    search builds each derivative of p once and walks down that chain.
 
     Near a multiple root the polynomial is flat and rounding noise limits
     how precisely any candidate can be located, so candidates closer than
@@ -260,12 +277,6 @@ def critical_points(p: Polynomial, tol: float = DEFAULT_TOL) -> list[CriticalPoi
             kind = CriticalKind.SADDLE
         out.append(CriticalPoint(location=x, kind=kind, value=p(x)))
     return out
-
-
-def stable_minima(p: Polynomial, tol: float = DEFAULT_TOL) -> list[float]:
-    """Locations of the local minima of p (the dynamically stable vacua)."""
-    return [cp.location for cp in critical_points(p, tol)
-            if cp.kind is CriticalKind.MINIMUM]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -479,10 +480,11 @@ def test_maxwell_peak_memory_is_the_budgeted_bytes_per_point(tmp_path):
     n = 64
     cfg = resolve_config("maxwell", {"grid": n})
     # a small run first, so numpy's first-call allocations are not traced
-    cli._run_maxwell(resolve_config("maxwell", {"grid": 8}), str(tmp_path))
+    cli._run_maxwell(resolve_config("maxwell", {"grid": 8}),
+                     cli._Run(str(tmp_path)))
     tracemalloc.start()
     try:
-        cli._run_maxwell(cfg, str(tmp_path))
+        cli._run_maxwell(cfg, cli._Run(str(tmp_path)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -591,6 +593,19 @@ def test_reruns_are_identical_modulo_timestamp(tmp_path):
     assert man_a == man_b
     for name in man_a["artifacts"]:
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+    assert set(os.listdir(dir_a)) == (set(man_a["artifacts"])
+                                      | {"manifest_all.json"})
+
+
+def test_benchmark_trace_hooks_find_their_functions():
+    # perfbench's tracer wraps ssb_lab functions by name; renaming or
+    # deleting one of them breaks every traced benchmark run
+    path = (pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+            / "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracing.Tracer().prepare()
 
 
 def test_repeated_calls_in_one_process_match_fresh_processes(tmp_path):

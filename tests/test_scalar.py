@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from ssb_lab.scalar import (DOUBLE_WELL, SQUARE_POLY, CriticalKind,
                             Polynomial, PolyRoot, SignFlipProblem,
                             _newton_polish, critical_points, real_roots,
-                            stable_minima, z2_solve, z2_solutions, z2_verdict)
+                            z2_solve, z2_solutions, z2_verdict)
 from ssb_lab.symmetry import SSBKind
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -220,6 +220,9 @@ def _spaced_radii(draw):
 
 @settings(derandomize=True, deadline=None)
 @given(_spaced_radii(), st.booleans())
+# p has an extremum of -5.8e-11 between the roots 0.1171875 and 0.125, below
+# the even-root limit 1e-10: not a double root
+@example([0.1015625, 0.125, 0.1171875], True)
 def test_even_polynomial_roots_recovered(radii, zero):
     p = _even_poly(radii, zero)
     bound = p.cauchy_root_bound() + 1.0
@@ -340,11 +343,6 @@ def test_double_well_critical_points():
                                [-0.25, 0.0, -0.25], atol=1e-14)
 
 
-def test_stable_minima_filters_out_the_hilltop():
-    np.testing.assert_allclose(stable_minima(DOUBLE_WELL),
-                               [-INV_SQRT2, INV_SQRT2], atol=1e-10)
-
-
 def test_quartic_saddle_classified():
     p = Polynomial((0.0, 0.0, 0.0, 1.0))  # x^3: flat saddle at 0
     cps = critical_points(p)
@@ -373,7 +371,9 @@ def test_bundled_problems_are_solved_once_and_shared():
         assert z2_solve(problem, 1e-10) is solved
         assert z2_solutions(problem) == [s.location for s in solved]
     minima = z2_solve(SignFlipProblem.QUARTIC_MINIMA)
-    assert [cp.location for cp in minima] == stable_minima(DOUBLE_WELL)
+    assert [cp.location for cp in minima] == [
+        cp.location for cp in critical_points(DOUBLE_WELL)
+        if cp.kind is CriticalKind.MINIMUM]
     assert [cp.kind for cp in minima] == [CriticalKind.MINIMUM] * 2
     bound = DOUBLE_WELL.cauchy_root_bound() + 1.0
     assert (list(z2_solve(SignFlipProblem.QUARTIC_ROOTS))
