@@ -54,7 +54,7 @@ DEFAULTS: dict[str, dict[str, Any]] = {
     "steiner": {"side": 1.0, "terminals": None, "seed": 0},
     "scalar": {},
     "ode": {"trials": 1000, "seed": 0},
-    "maxwell": {"grid": 32, "k": [1, 2, 2]},
+    "maxwell": {"grid": mx.DEFAULT_GRID, "k": [1, 2, 2]},
     "potential": {"n": 3, "q": 1.0, "mu": 1.0, "lam": 2.0},
     "classify": {"seed": 0},
 }
@@ -145,8 +145,7 @@ def _run_steiner(cfg: dict[str, Any], run: _Run) -> None:
 
     for i, net in enumerate(winners, start=1):
         run.emit(f"steiner_solution_{i}.seg", write_segments, net.segments())
-    fermat_ok = all(st.check_fermat_condition(w, tol=1e-9).ok
-                    for w in winners)
+    fermat_ok = all(st.check_fermat_condition(w).ok for w in winners)
     run.check("steiner.fermat_condition", "steiner.junction_angles",
               fermat_ok, True)
 
@@ -182,15 +181,14 @@ def _run_steiner(cfg: dict[str, Any], run: _Run) -> None:
 def _run_scalar(cfg: dict[str, Any], run: _Run) -> None:
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
 
-    # z2_solutions and z2_verdict pass tol too, so the verdicts below
-    # classify these same cached solutions
-    tol = sc.DEFAULT_TOL
-    xs = sc.z2_solutions(sc.SignFlipProblem.SQUARE_ROOTS, tol)
+    # z2_solutions and z2_verdict read the same cached solve, so the
+    # verdicts below classify these same solutions
+    xs = sc.z2_solutions(sc.SignFlipProblem.SQUARE_ROOTS)
     err = max(abs(a - b) for a, b in zip(sorted(xs), (-1.0, 1.0)))
     run.check("scalar.square_roots", "scalar.square.roots",
               err if len(xs) == 2 else None, 0.0, 1e-10)
 
-    roots = sc.z2_solve(sc.SignFlipProblem.QUARTIC_ROOTS, tol)
+    roots = sc.z2_solve(sc.SignFlipProblem.QUARTIC_ROOTS)
     locs = [r.location for r in roots]
     err = max(abs(a - b) for a, b in zip(locs, (-1.0, 0.0, 1.0)))
     run.check("scalar.quartic_roots", "scalar.quartic.roots",
@@ -199,7 +197,7 @@ def _run_scalar(cfg: dict[str, Any], run: _Run) -> None:
     run.check("scalar.quartic_root_multiplicity",
               "scalar.quartic.double_root", mult, [1, 2, 1])
 
-    minima = sc.z2_solve(sc.SignFlipProblem.QUARTIC_MINIMA, tol)
+    minima = sc.z2_solve(sc.SignFlipProblem.QUARTIC_MINIMA)
     err = max(abs(a - b) for a, b in zip(sorted(cp.location for cp in minima),
                                          (-inv_sqrt2, inv_sqrt2)))
     run.check("scalar.quartic_minima", "scalar.quartic.minima",
@@ -283,7 +281,9 @@ def _run_maxwell(cfg: dict[str, Any], run: _Run) -> None:
 
     run.checks.append(_rescaling_check(f_t, f_plus, f_minus, dt, base))
 
-    zero = mx.zero_field(max(4, n_grid // 4))
+    # the vacuum F = 0, sampled as the zero-amplitude wave
+    zero = mx.PlaneWaveField(mx.make_helicity_wave(cfg["k"], amplitude=0.0),
+                             max(4, n_grid // 4))
     vacuum = mx.maxwell_residual(zero, zero, zero, dt)
     run.check("maxwell.vacuum_residual", "maxwell.vacuum",
               max(vacuum), 0.0, 0.0)
@@ -650,7 +650,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("maxwell", parents=[common],
                        help="plane-wave residuals and complex rescaling")
     p.add_argument("--grid", type=int, default=None, metavar="N",
-                   help="points per axis, 5 to 307 (default 32)")
+                   help=f"points per axis, {MIN_MAXWELL_GRID} to "
+                        f"{MAX_MAXWELL_GRID} (default {mx.DEFAULT_GRID})")
 
     p = sub.add_parser("potential", parents=[common],
                        help="point charge in n dimensions")

@@ -90,8 +90,6 @@ def potential(sol: PotentialSolution, r: float) -> float:
     if not r > 0:
         raise ValueError(f"r must be positive, got {r}")
     if sol.n == 2:
-        if sol.mu is None:  # unreachable through the constructor
-            raise ValueError("n = 2 requires a reference radius mu")
         return -(sol.q / (2.0 * math.pi)) * math.log(r / sol.mu)
     area = unit_sphere_area(sol.n)
     return sol.q / ((sol.n - 2) * area * r ** (sol.n - 2))

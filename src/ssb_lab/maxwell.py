@@ -54,20 +54,7 @@ class ComplexFieldGrid:
     time: float
 
     def __post_init__(self) -> None:
-        self._freeze(np.array(self.values, dtype=complex))
-
-    @classmethod
-    def _adopt(cls, values: np.ndarray, spacing: float,
-               time: float) -> ComplexFieldGrid:
-        """Wrap a complex array this module has just allocated and holds no
-        other reference to: validated like any grid, but not copied."""
-        grid = object.__new__(cls)
-        object.__setattr__(grid, "spacing", spacing)
-        object.__setattr__(grid, "time", time)
-        grid._freeze(values)
-        return grid
-
-    def _freeze(self, v: np.ndarray) -> None:
+        v = np.array(self.values, dtype=complex)
         if v.ndim != 4 or v.shape[3] != 3:
             raise ValueError(f"values must be (N, N, N, 3), got {v.shape}")
         n = v.shape[0]
@@ -247,18 +234,17 @@ def sample_plane_wave(spec: PlaneWaveSpec, n_grid: int = DEFAULT_GRID,
     """Evaluate amp * eps * exp(i(k.x - |k| t)) on the periodic grid and
     store it: every plane of the ``PlaneWaveField``."""
     wave = PlaneWaveField(spec, n_grid, time)
-    return ComplexFieldGrid._adopt(_stored(wave), wave.spacing, wave.time)
+    return ComplexFieldGrid(_stored(wave), wave.spacing, wave.time)
 
 
 def wave_snapshots(spec: PlaneWaveSpec, n_grid: int = DEFAULT_GRID,
-                   time: float = 0.0,
-                   dt_ratio: float = DEFAULT_DT_RATIO
+                   time: float = 0.0
                    ) -> tuple[PlaneWaveField, PlaneWaveField,
                               PlaneWaveField, float]:
-    """Three consecutive snapshots (t, t+dt, t-dt) plus dt, with dt tied to
-    the spacing so the time error stays subdominant to the space error.
-    The snapshots are ``PlaneWaveField``s: none is stored."""
-    dt = dt_ratio * BOX_LENGTH / n_grid
+    """Three consecutive snapshots (t, t+dt, t-dt) plus dt, with dt =
+    DEFAULT_DT_RATIO * spacing so the time error stays subdominant to the
+    space error.  The snapshots are ``PlaneWaveField``s: none is stored."""
+    dt = DEFAULT_DT_RATIO * BOX_LENGTH / n_grid
     f_t = PlaneWaveField(spec, n_grid, time)
     f_plus = PlaneWaveField(spec, n_grid, time + dt)
     f_minus = PlaneWaveField(spec, n_grid, time - dt)
@@ -502,8 +488,8 @@ def scale_field(f: Field, z: complex) -> ComplexFieldGrid:
     """
     z = _symmetry_factor(z)
     values = _stored(f)
-    return ComplexFieldGrid._adopt(np.multiply(z, values, out=values),
-                                   f.spacing, f.time)
+    return ComplexFieldGrid(np.multiply(z, values, out=values), f.spacing,
+                            f.time)
 
 
 def _symmetry_factor(z: complex) -> complex:
@@ -514,22 +500,14 @@ def _symmetry_factor(z: complex) -> complex:
     return z
 
 
-def zero_field(n_grid: int = DEFAULT_GRID, time: float = 0.0) -> ComplexFieldGrid:
-    h = BOX_LENGTH / n_grid
-    values = _empty_field(n_grid)
-    values.fill(0.0)
-    return ComplexFieldGrid._adopt(values, h, time)
-
-
-def study_level(spec: PlaneWaveSpec, n_grid: int,
-                dt_ratio: float = DEFAULT_DT_RATIO
+def study_level(spec: PlaneWaveSpec, n_grid: int
                 ) -> tuple[tuple[int, float, float, float],
                            tuple[PlaneWaveField, PlaneWaveField,
                                  PlaneWaveField, float]]:
     """One grid of the convergence study: the row (n_grid, spacing,
     div_norm, evolution_norm) and the snapshots (f_t, f_plus, f_minus, dt)
     whose residual it holds."""
-    snapshots = wave_snapshots(spec, n_grid, dt_ratio=dt_ratio)
+    snapshots = wave_snapshots(spec, n_grid)
     div_norm, evo_norm = maxwell_residual(*snapshots)
     return (int(n_grid), BOX_LENGTH / n_grid, div_norm, evo_norm), snapshots
 

@@ -95,10 +95,10 @@ def _derivative_chain(p: Polynomial) -> list[Polynomial]:
     return chain
 
 
-def _limits(chain: list[Polynomial], tol: float) -> list[float]:
-    """tol relative to each derivative's own coefficient scale (at least 1):
-    a value at or below its limit counts as zero."""
-    return [tol * max(q.coefficient_scale(), 1.0) for q in chain]
+def _limits(chain: list[Polynomial]) -> list[float]:
+    """DEFAULT_TOL relative to each derivative's own coefficient scale (at
+    least 1): a value at or below its limit counts as zero."""
+    return [DEFAULT_TOL * max(q.coefficient_scale(), 1.0) for q in chain]
 
 
 def _multiplicity(chain: list[Polynomial], limits: list[float],
@@ -217,8 +217,7 @@ def _roots(chain: list[Polynomial], limits: list[float], k: int,
     return roots
 
 
-def real_roots(p: Polynomial, bracket: tuple[float, float],
-               tol: float = DEFAULT_TOL) -> list[PolyRoot]:
+def real_roots(p: Polynomial, bracket: tuple[float, float]) -> list[PolyRoot]:
     """All real roots of p inside the bracket, sorted, with multiplicities.
 
     The critical points of p (the roots of p', found by the same search)
@@ -226,11 +225,12 @@ def real_roots(p: Polynomial, bracket: tuple[float, float],
     monotone, so each holds at most one root.  An interval whose ends differ
     in sign gets its root bisected and Newton-polished until an iterate
     repeats, at most 30 steps.  Roots of even multiplicity never change
-    sign: a critical point where |p| falls below tol * coefficient scale is
-    one, unless p changes sign on both sides of it, p'' does not vanish
-    there, and no other candidate lies within 1e-4: then it is an extremum
-    between two simple roots.  An end where p is exactly 0 is a root.  The
-    search builds each derivative of p once and walks down that chain.
+    sign: a critical point where |p| falls below DEFAULT_TOL * coefficient
+    scale is one, unless p changes sign on both sides of it, p'' does not
+    vanish there, and no other candidate lies within 1e-4: then it is an
+    extremum between two simple roots.  An end where p is exactly 0 is a
+    root.  The search builds each derivative of p once and walks down that
+    chain.
 
     Near a multiple root the polynomial is flat and rounding noise limits
     how precisely any candidate can be located, so candidates closer than
@@ -247,16 +247,16 @@ def real_roots(p: Polynomial, bracket: tuple[float, float],
     if p.degree < 1:
         raise ValueError("constant polynomials have no roots to find")
     chain = _derivative_chain(p)
-    return _roots(chain, _limits(chain, tol), 0, lo, hi)
+    return _roots(chain, _limits(chain), 0, lo, hi)
 
 
-def critical_points(p: Polynomial, tol: float = DEFAULT_TOL) -> list[CriticalPoint]:
+def critical_points(p: Polynomial) -> list[CriticalPoint]:
     """Stationary points of p, classified by the first non-vanishing
     derivative (sign of p'' when it is clearly nonzero)."""
     if p.degree < 2:
         raise ValueError("need degree >= 2 for meaningful critical points")
     chain = _derivative_chain(p)
-    limits = _limits(chain, tol)
+    limits = _limits(chain)
     bound = chain[1].cauchy_root_bound() + 1.0
     _check_bracket(-bound, bound)
     out: list[CriticalPoint] = []
@@ -306,18 +306,17 @@ def _line_configs(xs: list[float]) -> list[PointConfig]:
 
 
 @functools.cache
-def z2_solve(problem: SignFlipProblem, tol: float = DEFAULT_TOL
+def z2_solve(problem: SignFlipProblem
              ) -> tuple[PolyRoot, ...] | tuple[CriticalPoint, ...]:
     """The problem's solutions as the solver returns them: the roots, with
     their multiplicities, for SQUARE_ROOTS and QUARTIC_ROOTS, and the minima,
     with their values, for QUARTIC_MINIMA.
 
-    The problems are fixed, so the result is cached per arguments as passed
-    (z2_solutions passes tol), and every caller shares the same tuple of
-    frozen records.
+    The problems are fixed, so the result is cached per problem, and every
+    caller shares the same tuple of frozen records.
     """
     if problem is SignFlipProblem.QUARTIC_MINIMA:
-        return tuple(cp for cp in critical_points(DOUBLE_WELL, tol)
+        return tuple(cp for cp in critical_points(DOUBLE_WELL)
                      if cp.kind is CriticalKind.MINIMUM)
     if problem is SignFlipProblem.SQUARE_ROOTS:
         p = SQUARE_POLY
@@ -326,18 +325,16 @@ def z2_solve(problem: SignFlipProblem, tol: float = DEFAULT_TOL
     else:
         raise ValueError(f"unknown problem {problem!r}")
     bound = p.cauchy_root_bound() + 1.0
-    return tuple(real_roots(p, (-bound, bound), tol))
+    return tuple(real_roots(p, (-bound, bound)))
 
 
-def z2_solutions(problem: SignFlipProblem,
-                 tol: float = DEFAULT_TOL) -> list[float]:
+def z2_solutions(problem: SignFlipProblem) -> list[float]:
     """The solution set of the given problem as plain real numbers."""
-    return [s.location for s in z2_solve(problem, tol)]
+    return [s.location for s in z2_solve(problem)]
 
 
-def z2_verdict(problem: SignFlipProblem,
-               tol: float = DEFAULT_TOL) -> SSBVerdict:
+def z2_verdict(problem: SignFlipProblem) -> SSBVerdict:
     """Classify the problem's solution set under the sign-flip group."""
-    xs = z2_solutions(problem, tol)
+    xs = z2_solutions(problem)
     return classify_ssb(sign_flip_group(), _line_configs(xs),
                         tol=_CLASSIFY_TOL)

@@ -44,7 +44,9 @@ import numpy as np
 from .symmetry import FiniteGroup, PointConfig, config_equal, stabilizer
 
 _ZERO_EDGE_TOL = 1e-14
-_DEDUPE_MATCH_TOL = 1e-8
+# two networks, or a network and its image, match when their points do to
+# within this (select_minima's deduplication, residual_symmetry)
+_NETWORK_MATCH_TOL = 1e-8
 # a junction closer than this to another vertex counts as sitting on it; it
 # is larger than symmetry.MATCH_TOL, below which points count as duplicates
 _MERGE_TOL = 1e-9
@@ -408,20 +410,18 @@ def optimize_all(terminals: np.ndarray) -> list[SteinerNetwork]:
             for topology in enumerate_topologies(term.shape[0])]
 
 
-def select_minima(nets: list[SteinerNetwork],
-                  degeneracy_tol: float = DEGENERACY_TOL
-                  ) -> list[SteinerNetwork]:
-    """Keep the networks within ``degeneracy_tol`` of the shortest length,
+def select_minima(nets: list[SteinerNetwork]) -> list[SteinerNetwork]:
+    """Keep the networks within ``DEGENERACY_TOL`` of the shortest length,
     geometrically deduplicated, preserving input order."""
     if not nets:
         raise ValueError("no networks to select from")
     best = min(net.total_length for net in nets)
     winners: list[SteinerNetwork] = []
     for net in nets:
-        if net.total_length > best + degeneracy_tol:
+        if net.total_length > best + DEGENERACY_TOL:
             continue
         cfg = net.config()
-        if any(config_equal(cfg, w.config(), _DEDUPE_MATCH_TOL)
+        if any(config_equal(cfg, w.config(), _NETWORK_MATCH_TOL)
                for w in winners):
             continue
         winners.append(net)
@@ -432,9 +432,9 @@ def select_minima(nets: list[SteinerNetwork],
 # checks and symmetry hooks
 # ---------------------------------------------------------------------------
 
-def check_fermat_condition(net: SteinerNetwork,
-                           tol: float = FERMAT_TOL) -> FermatCheck:
-    """Verify the 120-degree condition at every degree-3 junction.
+def check_fermat_condition(net: SteinerNetwork) -> FermatCheck:
+    """Verify the 120-degree condition, to ``FERMAT_TOL``, at every degree-3
+    junction.
 
     Junctions of other degrees (merge products) make the network non-full;
     the condition is then not applicable to them.  A zero-length edge means
@@ -449,14 +449,13 @@ def check_fermat_condition(net: SteinerNetwork,
     is_full = net.topology.n_steiner > 0 and all(
         deg[m + k] == 3 for k in range(net.topology.n_steiner))
     residual = _fermat_residual(net.topology, [tuple(p) for p in pts])
-    return FermatCheck(is_full=is_full, ok=residual <= tol,
+    return FermatCheck(is_full=is_full, ok=residual <= FERMAT_TOL,
                        max_residual=residual)
 
 
-def residual_symmetry(net: SteinerNetwork, group: FiniteGroup,
-                      tol: float = 1e-8) -> FiniteGroup:
+def residual_symmetry(net: SteinerNetwork, group: FiniteGroup) -> FiniteGroup:
     """Stabilizer of the embedded network (terminals + junctions + edges)."""
-    return stabilizer(group, net.config(), tol)
+    return stabilizer(group, net.config(), _NETWORK_MATCH_TOL)
 
 
 def square_terminals(side: float = 1.0) -> np.ndarray:

@@ -492,21 +492,23 @@ def test_maxwell_peak_memory_is_the_budgeted_bytes_per_point(tmp_path):
 
 
 def test_maxwell_samples_each_level_once(tmp_path, monkeypatch):
-    # three plane-wave fields per level, and no stored grid
+    # three plane-wave fields per level, one zero-amplitude wave for the
+    # vacuum on the coarsest level, and no stored grid
     calls = []
     field = mx.PlaneWaveField
 
-    def counted(spec, n_grid, time):
+    def counted(spec, n_grid, time=0.0):
         calls.append(n_grid)
         return field(spec, n_grid, time)
 
     def stored(*args, **kwargs):
-        raise AssertionError("a maxwell run stores no sampled grid")
+        raise AssertionError("a maxwell run stores no grid")
 
     monkeypatch.setattr(mx, "PlaneWaveField", counted)
-    monkeypatch.setattr(mx, "sample_plane_wave", stored)
+    for name in ("sample_plane_wave", "ComplexFieldGrid"):
+        monkeypatch.setattr(mx, name, stored)
     assert main(["maxwell", "--grid", "32", "--out", str(tmp_path)]) == 0
-    assert sorted(calls) == [8] * 3 + [16] * 3 + [32] * 3
+    assert sorted(calls) == [8] * 4 + [16] * 3 + [32] * 3
 
 
 def test_all_computes_each_shared_fixture_once(tmp_path, monkeypatch):
@@ -597,15 +599,30 @@ def test_reruns_are_identical_modulo_timestamp(tmp_path):
                                       | {"manifest_all.json"})
 
 
-def test_benchmark_trace_hooks_find_their_functions():
-    # perfbench's tracer wraps ssb_lab functions by name; renaming or
-    # deleting one of them breaks every traced benchmark run
+def test_benchmark_trace_hooks_find_their_functions(tmp_path):
+    # perfbench's tracer wraps ssb_lab functions by name and its hooks read
+    # their arguments and results by name; renaming or deleting one of them
+    # breaks every traced benchmark run, so every hook runs here
     path = (pathlib.Path(__file__).resolve().parents[1] / "perfbench"
             / "tracing.py")
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    tracing.Tracer().prepare()
+    tracer = tracing.Tracer()
+    tracer.prepare()
+    tracer.install()
+    try:
+        run_subcommand("all", {}, str(tmp_path))
+        wave = mx.sample_plane_wave(mx.make_helicity_wave((1, 2, 2)), 4)
+        mx.scale_field(wave, 1j)
+        mx.discrete_div(wave)
+        mx.discrete_curl(wave)
+    finally:
+        tracer.uninstall()
+    for counter in ("flux_nodes", "residual_points", "sampled_points",
+                    "snapshot_bytes", "networks", "fermat_checks",
+                    "bytes_written"):
+        assert tracer.counts[counter] > 0, counter
 
 
 def test_repeated_calls_in_one_process_match_fresh_processes(tmp_path):

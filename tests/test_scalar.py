@@ -366,9 +366,9 @@ def test_square_root_solutions():
 
 def test_bundled_problems_are_solved_once_and_shared():
     for problem in SignFlipProblem:
-        solved = z2_solve(problem, 1e-10)
+        solved = z2_solve(problem)
         assert isinstance(solved, tuple)
-        assert z2_solve(problem, 1e-10) is solved
+        assert z2_solve(problem) is solved
         assert z2_solutions(problem) == [s.location for s in solved]
     minima = z2_solve(SignFlipProblem.QUARTIC_MINIMA)
     assert [cp.location for cp in minima] == [

@@ -135,7 +135,7 @@ def test_square_junction_positions(square_solutions):
 
 def test_square_fermat_condition(square_solutions):
     for net in square_solutions:
-        check = check_fermat_condition(net, tol=1e-9)
+        check = check_fermat_condition(net)
         assert check.is_full
         assert check.ok, check.max_residual
 
@@ -309,7 +309,7 @@ def test_angle_just_below_120_degrees_stays_well_formed(below):
     nets = select_minima(optimize_all(terminals))
     assert nets[0].total_length == pytest.approx(2.0, abs=1e-12)
     for net in nets:
-        assert check_fermat_condition(net, tol=1e-9).ok
+        assert check_fermat_condition(net).ok
 
 
 def test_junction_next_to_a_terminal_is_contracted():
@@ -378,7 +378,7 @@ def test_smt_lies_between_the_steiner_ratio_and_the_mst(points):
 @given(_TERMINAL_SETS)
 def test_winners_meet_at_120_degrees(points):
     for net in select_minima(optimize_all(_separated(points))):
-        check = check_fermat_condition(net, tol=1e-9)
+        check = check_fermat_condition(net)
         assert check.max_residual <= 1e-9
 
 
@@ -445,7 +445,7 @@ def test_former_optimizer_failures(points, length):
     winners = select_minima(optimize_all(term))
     mst = _mst_length(term)
     for net in winners:
-        assert check_fermat_condition(net, tol=1e-9).ok
+        assert check_fermat_condition(net).ok
         assert SQRT3 / 2.0 * mst - 1e-9 <= net.total_length <= mst + 1e-9
     if length is not None:
         assert winners[0].total_length == pytest.approx(length, abs=1e-9)
