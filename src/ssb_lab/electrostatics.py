@@ -52,11 +52,16 @@ class PotentialSolution:
     mu: float | None = None
 
     def __post_init__(self) -> None:
-        if int(self.n) != self.n or self.n < 2:
+        # NaN fails n >= 2, and inf is tested before int() could overflow
+        if not (self.n >= 2 and self.n != math.inf
+                and int(self.n) == self.n):
             raise ValueError(f"dimension must be an integer >= 2, "
                              f"got {self.n}")
+        q = float(self.q)
+        if not math.isfinite(q):
+            raise ValueError(f"charge q must be finite, got {q}")
         object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "q", float(self.q))
+        object.__setattr__(self, "q", q)
         if self.n == 2:
             mu = 1.0 if self.mu is None else float(self.mu)
             if not (math.isfinite(mu) and mu > 0):

@@ -122,8 +122,10 @@ class PlaneWaveSpec:
     """Wave vector, polarization and amplitude of a helicity eigenwave.
 
     The wave vector must pass ``wave_vector``.  The polarization must be
-    transverse and satisfy k x eps = -i |k| eps, the eigenvalue compatible
-    with the evolution law for a wave with phase k.x - |k| t.
+    finite, transverse and satisfy k x eps = -i |k| eps, the eigenvalue
+    compatible with the evolution law for a wave with phase k.x - |k| t.
+    The amplitude must be finite, so every ``PlaneWaveField`` of the wave
+    is finite too.
     """
 
     k: np.ndarray
@@ -135,18 +137,26 @@ class PlaneWaveSpec:
         eps = np.array(self.polarization, dtype=complex)
         if eps.shape != (3,):
             raise ValueError("polarization must be a 3-vector")
+        if not np.isfinite(eps).all():
+            raise ValueError(f"polarization must be finite, got {eps}")
+        amplitude = complex(self.amplitude)
+        # the zero amplitude is valid: it samples the vacuum
+        if not (math.isfinite(amplitude.real)
+                and math.isfinite(amplitude.imag)):
+            raise ValueError(f"amplitude must be finite, got {amplitude}")
         omega = float(np.linalg.norm(k))
-        if abs(np.vdot(k.astype(complex), eps)) > _TRANSVERSALITY_TOL:
+        # both guards are written so that a NaN defect fails them
+        if not abs(np.vdot(k.astype(complex), eps)) <= _TRANSVERSALITY_TOL:
             raise ValueError("polarization is not transverse to k")
         helicity_defect = np.max(np.abs(np.cross(k, eps) + 1j * omega * eps))
-        if helicity_defect > _TRANSVERSALITY_TOL:
+        if not helicity_defect <= _TRANSVERSALITY_TOL:
             raise ValueError(f"polarization is not the k x eps = -i|k| eps "
                              f"helicity eigenstate (defect {helicity_defect:.3e})")
         k.flags.writeable = False
         eps.flags.writeable = False
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "polarization", eps)
-        object.__setattr__(self, "amplitude", complex(self.amplitude))
+        object.__setattr__(self, "amplitude", amplitude)
 
     @property
     def omega(self) -> float:
@@ -258,9 +268,9 @@ def wave_snapshots(spec: PlaneWaveSpec, n_grid: int = DEFAULT_GRID,
 # x-planes per slab: the stencils walk the grid one slab at a time, so their
 # operands stay in cache instead of streaming whole (N, N, N) arrays.  At
 # N = 128 a complex work buffer of 4 planes is 1 MiB, half of a 2 MiB L2
-# cache, which one of 8 planes fills; the three N = 128 residuals of
-# ``maxwell --grid 128`` take about 490 ms with 4 planes and 540 ms with 8
-# (medians of 5 runs on one core of a 2-CPU Xeon)
+# cache, which one of 8 planes fills; the two N = 128 residuals of
+# ``maxwell --grid 128`` take about 345 ms with 4 planes and 375 ms with 8
+# (medians of 5 runs, twice, on one core of a 2-CPU Xeon)
 _SLAB = 4
 # a slab whose largest evolution component exceeds this in magnitude has
 # its squares summed at an exact power-of-two scale, so they cannot overflow

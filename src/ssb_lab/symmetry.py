@@ -50,8 +50,11 @@ class OrthoTransform:
         n = m.shape[0]
         if n == 0:
             raise ValueError("matrix must be at least 1x1")
+        if not all(map(math.isfinite, m.flat)):
+            raise ValueError(f"matrix entries must be finite, "
+                             f"got {m.tolist()}")
         defect = np.max(np.abs(m.T @ m - np.eye(n)))
-        if defect > ORTHO_TOL:
+        if not defect <= ORTHO_TOL:
             raise ValueError(f"matrix is not orthogonal (defect {defect:.3e})")
         det = float(np.linalg.det(m))
         if abs(abs(det) - 1.0) > ORTHO_TOL:
@@ -175,7 +178,7 @@ def verify_group_axioms(g: FiniteGroup, tol: float = MATCH_TOL) -> GroupCheck:
 
     if g.order <= _ASSOCIATIVITY_MAX_ORDER:
         for a, b, c in itertools.product(mats, repeat=3):
-            if np.max(np.abs((a @ b) @ c - a @ (b @ c))) > tol:
+            if not np.max(np.abs((a @ b) @ c - a @ (b @ c))) <= tol:
                 violations.append("associativity: a triple product differs "
                                   "between bracketings")
                 break
@@ -291,7 +294,8 @@ def _match_points(src: np.ndarray, dst: np.ndarray,
     diff = src[:, None, :] - dst[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=-1))
     perm = np.argmin(dist, axis=1)
-    if float(np.max(dist[np.arange(m), perm])) > tol:
+    # written so that a NaN distance or tolerance fails the match
+    if not float(np.max(dist[np.arange(m), perm])) <= tol:
         return None
     if len(set(perm.tolist())) != m:
         return None

@@ -511,6 +511,22 @@ def test_maxwell_samples_each_level_once(tmp_path, monkeypatch):
     assert sorted(calls) == [8] * 4 + [16] * 3 + [32] * 3
 
 
+@pytest.mark.parametrize("n", [16, 64])
+def test_maxwell_walks_each_grid_the_fewest_times(tmp_path, monkeypatch, n):
+    # one residual per level, the vacuum check on the coarsest level, and
+    # z = 2 - 3i on the finest; z = i is not recomputed
+    calls = []
+    residual = mx.maxwell_residual
+
+    def counted(f_t, *args, **kwargs):
+        calls.append(f_t.n_grid)
+        return residual(f_t, *args, **kwargs)
+
+    monkeypatch.setattr(mx, "maxwell_residual", counted)
+    run_subcommand("maxwell", {"grid": n}, str(tmp_path))
+    assert {g: calls.count(g) for g in calls} == {n // 4: 2, n // 2: 1, n: 2}
+
+
 def test_all_computes_each_shared_fixture_once(tmp_path, monkeypatch):
     calls = []
     for module, name in ((steiner, "optimize_all"),

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ssb_lab import cli
 from ssb_lab.maxwell import (BOX_LENGTH, ComplexFieldGrid, PlaneWaveField,
                              PlaneWaveSpec, _ddx, _slabs, discrete_curl,
                              discrete_div,
@@ -170,6 +171,16 @@ def test_wave_vector_accepts_integer_valued_numbers():
     edge = 2.0 ** 53  # the largest magnitude allowed
     np.testing.assert_array_equal(wave_vector([edge, -edge, 1]),
                                   [edge, -edge, 1.0])
+
+
+@pytest.mark.parametrize("amplitude", [math.nan, math.inf,
+                                       complex(math.inf, 0.0),
+                                       complex(0.0, math.nan)])
+def test_non_finite_amplitude_rejected(amplitude):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="amplitude"):
+            make_helicity_wave((1, 2, 2), amplitude=amplitude)
 
 
 def test_longitudinal_polarization_rejected():
@@ -618,6 +629,55 @@ def test_rescaled_residual_of_random_fields_is_bit_identical(
               for _ in range(3)]
     assert maxwell_residual(*fields, dt, z=z) \
         == maxwell_residual(*[scale_field(f, z) for f in fields], dt)
+
+
+# the identity that lets cli._rescaling_check skip z = i (see its docstring)
+@settings(derandomize=True, deadline=None)
+@given(st.tuples(*[st.integers(-6, 6)] * 3).filter(any), st.integers(4, 24),
+       st.complex_numbers(min_magnitude=1e-300, max_magnitude=1e300,
+                          allow_nan=False, allow_infinity=False),
+       st.floats(-1e3, 1e3))
+def test_residual_times_i_is_bit_identical(k, n, amplitude, time):
+    spec = make_helicity_wave(k, amplitude=amplitude)
+    *fields, dt = wave_snapshots(spec, n, time)
+    assert maxwell_residual(*fields, dt, z=1j) == maxwell_residual(*fields, dt)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_GRID_SIZES, st.booleans(), _SEEDS)
+def test_residual_times_i_of_random_fields_is_bit_identical(
+        n, component_major, seed):
+    # entry magnitudes from 1e-300 to 1e300 put slabs past 2**500, where
+    # the squares are summed at a power-of-two scale
+    rng = np.random.default_rng(seed)
+    h, dt = rng.uniform(0.01, 2.0, size=2)
+    values = []
+    for _ in range(3):
+        v = _random_field(rng, n, component_major)
+        v *= 10.0 ** rng.uniform(-300.0, 300.0, size=v.shape)
+        values.append(_with_signed_zeros(rng, v))
+    fields = [ComplexFieldGrid(v, h, 0.0) for v in values]
+    assert maxwell_residual(*fields, dt, z=1j) == maxwell_residual(*fields, dt)
+
+
+def _rescaling_check_with_z_i(f_t, f_plus, f_minus, dt, base):
+    """The rescaling check as it was when it also recomputed z = i."""
+    errors = []
+    for z in (1j, 2.0 - 3.0j):
+        scaled = maxwell_residual(f_t, f_plus, f_minus, dt, z=z)
+        errors += [cli._rel_err(s, abs(z) * b) for b, s in zip(base, scaled)]
+    return cli.make_check("maxwell.rescaling_linearity",
+                          "maxwell.complex_symmetry", cli._worst(errors),
+                          0.0, 1e-12)
+
+
+@pytest.mark.parametrize("n_grid", [4, 8, 16, 32])
+@pytest.mark.parametrize("k", WAVE_VECTORS + [(0, 0, 1)])
+def test_rescaling_check_equals_the_one_that_recomputes_z_i(n_grid, k):
+    *fields, dt = wave_snapshots(make_helicity_wave(k), n_grid)
+    base = maxwell_residual(*fields, dt)
+    assert cli._rescaling_check(*fields, dt, base) \
+        == _rescaling_check_with_z_i(*fields, dt, base)
 
 
 def test_residual_of_a_huge_field_does_not_overflow():

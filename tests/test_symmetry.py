@@ -230,6 +230,17 @@ def test_generic_point_has_full_orbit():
     assert len(orbit(d4, c)) == 8
 
 
+def test_nan_tolerance_matches_nothing():
+    # every comparison with NaN is false, so each guard is written to fail
+    # it: a NaN tolerance matches no point and passes no axiom
+    c = _square_config()
+    assert not config_equal(c, c, math.nan)
+    assert not is_invariant(identity_transform(2), c, math.nan)
+    check = verify_group_axioms(dihedral_group(4), math.nan)
+    assert {v.split(":")[0] for v in check.violations} \
+        == {"identity", "closure", "inverses", "associativity"}
+
+
 def test_is_invariant_dim_mismatch_raises():
     with pytest.raises(ValueError):
         is_invariant(identity_transform(3), _square_config())
