@@ -15,13 +15,14 @@ plot-data files into the output directory (``--out``, else the SSB_LAB_OUT
 environment variable, else ./ssb_lab_out).  Settings resolve in the order
 command line flags > --config JSON file > built-in defaults.  The process
 exits 0 if every check passed, 1 if any failed (the manifest is still
-written), and 2 on usage errors (one line on stderr): bad flags, an output
-directory that cannot be created, or settings no run can give a defined
-result for, such as a non-positive square side, terminals that are not 3 or
-4 distinct points within 1e150 of the origin, a Maxwell grid too coarse for
-two levels or finer than 307 points per axis, a wave vector beyond 2**53,
-or a potential outside 2 to 171 dimensions, with mu or lambda outside
-[1e-60, 1e60], or with a charge whose values overflow.
+written), and 2 on usage errors (one line on stderr): bad flags, config
+keys that no subcommand knows, an output directory that cannot be created,
+or settings no run can give a defined result for, such as a non-positive
+square side, terminals that are not 3 or 4 distinct points within 1e150 of
+the origin, a Maxwell grid too coarse for two levels or finer than 307
+points per axis, a wave vector beyond 2**53, or a potential outside 2 to 171
+dimensions, with mu or lambda outside [1e-60, 1e60], or with a charge whose
+values overflow.
 """
 
 from __future__ import annotations
@@ -73,8 +74,6 @@ MAX_MAXWELL_GRID = 307
 # 260 bytes, and one trial takes about 3.4 us: 1000 trials run in about
 # 3.4 ms, 10^6 in about 3 s with 260 MB, where 10^7 would take 2.6 GB
 MAX_ODE_TRIALS = 1_000_000
-# squared distances overflow (past 1.8e308) from coordinates of about 1e154
-MAX_COORDINATE = 1e150
 # the plotted field q / (O_{n-1} r^{n-1}) divides by a normal float at
 # r = 0.05 up to n = 171; from 172 the divisor is subnormal and loses bits,
 # and from 173 a unit charge's field there overflows
@@ -590,9 +589,9 @@ def _check_terminals(value: Any) -> None:
         raise UsageError("terminals must be a JSON list of [x, y] pairs")
     if len(pts) not in (3, 4):
         raise UsageError(f"need 3 or 4 terminals, got {len(pts)}")
-    if not np.all(np.abs(pts) <= MAX_COORDINATE):  # also false for NaN
+    if not np.all(np.abs(pts) <= sym.MAX_COORDINATE):  # also false for NaN
         raise UsageError(f"terminal coordinates must be finite and at most "
-                         f"{MAX_COORDINATE:g} in magnitude")
+                         f"{sym.MAX_COORDINATE:g} in magnitude")
     try:
         sym.PointConfig(pts)
     except ValueError:
@@ -698,6 +697,10 @@ def main(argv: list[str] | None = None) -> int:
             config = _load_json(args.config, "config file")
             if not isinstance(config, dict):
                 raise UsageError("config file must hold a JSON object")
+            unknown = sorted(config.keys() - _CONFIG_KEYS)
+            if unknown:
+                raise UsageError(f"config file has unknown keys "
+                                 f"{', '.join(map(repr, unknown))}")
         config.update(_overrides_from_args(args))
         manifest = run_subcommand(args.subcommand, config, out_dir)
     except UsageError as exc:

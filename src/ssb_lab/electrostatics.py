@@ -28,10 +28,15 @@ DEFAULT_QUAD_POINTS_3D = 64  # Gauss-Legendre nodes in cos(theta); phi gets 2x
 
 def unit_sphere_area(n: int) -> float:
     """Area of the unit (n-1)-sphere in n dimensions: 2 pi^{n/2} / Gamma(n/2)."""
-    if int(n) != n or n < 2:
+    # NaN fails n >= 2, and inf is tested before int() could overflow
+    if not (n >= 2 and n != math.inf and int(n) == n):
         raise ValueError(f"dimension must be an integer >= 2, got {n}")
     n = int(n)
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    try:
+        return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    except OverflowError:  # from n = 344 on, Gamma(n / 2) is past 1.8e308
+        raise ValueError(f"dimension {n} is too large: Gamma({n}/2) "
+                         f"overflows") from None
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +84,11 @@ class ScalingTransform:
     lam: float
 
     def __post_init__(self) -> None:
-        lam = float(self.lam)
+        try:
+            lam = float(self.lam)
+        except OverflowError:  # an int past the float range
+            raise ValueError("scale factor lam is past the float "
+                             "range") from None
         if not (math.isfinite(lam) and lam > 0):
             raise ValueError(f"scale factor lam must be a positive finite "
                              f"number, got {lam}")

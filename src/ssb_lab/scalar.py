@@ -3,11 +3,11 @@
 A real polynomial equation p(x) = 0 (or the minimization of p) whose
 coefficients contain only even powers is symmetric under x -> -x.  Its
 solution set may or may not retain that symmetry: x^2 - 1 = 0 has only the
-asymmetric pair {-1, +1}, while x^4 - x^2 = 0 also has the symmetric root 0.
-Filtering the quartic's critical points for stability (keeping minima only)
-removes the symmetric candidate again.  This module finds roots and critical
-points, each root between two consecutive critical points, and hands the
-resulting solution sets to the symmetry classifier.
+asymmetric pair {-1, +1}, while x^4 - x^2 = 0 also has the symmetric double
+root 0.  Filtering the quartic's critical points for stability (keeping
+minima only) removes the symmetric candidate again.  This module finds roots,
+with multiplicities exact for the coefficients as given, and critical
+points, and hands the resulting solution sets to the symmetry classifier.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ import numpy as np
 
 from .symmetry import PointConfig, SSBVerdict, classify_ssb, sign_flip_group
 
-DEFAULT_TOL = 1e-10
-_DEDUPE_TOL = 1e-4  # resolution limit; nearer candidates merge into one root
 _CLASSIFY_TOL = 1e-9
 
 
@@ -59,9 +57,6 @@ class Polynomial:
         return Polynomial(tuple(i * c for i, c in
                                 enumerate(self.coefficients) if i >= 1))
 
-    def coefficient_scale(self) -> float:
-        return max(abs(c) for c in self.coefficients)
-
     def cauchy_root_bound(self) -> float:
         """All real roots lie in [-R, R] with R = 1 + max|c_i| / |c_lead|."""
         lead = abs(self.coefficients[-1])
@@ -88,29 +83,82 @@ class CriticalPoint:
     value: float
 
 
-def _derivative_chain(p: Polynomial) -> list[Polynomial]:
-    chain = [p]
+def _derivative_chain(chain: list[Polynomial]) -> list[Polynomial]:
+    """Extend chain with derivatives of its last entry down to a constant."""
     while chain[-1].degree >= 1:
         chain.append(chain[-1].derivative())
     return chain
 
 
-def _limits(chain: list[Polynomial]) -> list[float]:
-    """DEFAULT_TOL relative to each derivative's own coefficient scale (at
-    least 1): a value at or below its limit counts as zero."""
-    return [DEFAULT_TOL * max(q.coefficient_scale(), 1.0) for q in chain]
+# Exact polynomial arithmetic on Python ints: coefficient lists in ascending
+# order of power, without trailing zeros; [] is the zero polynomial.
+
+def _int_derivative(a: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(a)][1:]
 
 
-def _multiplicity(chain: list[Polynomial], limits: list[float],
-                  x: float) -> int:
-    """Number of leading derivatives vanishing at x, at least 1 for a root."""
-    m = 0
-    for q, limit in zip(chain, limits):
-        if abs(q(x)) <= limit:
-            m += 1
-        else:
-            break
-    return max(m, 1)
+def _primitive(a: list[int]) -> list[int]:
+    g = math.gcd(*a)
+    return [c // g for c in a]
+
+
+def _divide(a: list[int], b: list[int]) -> list[int]:
+    """The quotient a / b, where the primitive b divides a: by Gauss's lemma
+    it has integer coefficients, so every step divides exactly."""
+    a, n = list(a), len(b) - 1
+    q = [0] * (len(a) - n)
+    for i in reversed(range(len(q))):
+        q[i] = a[i + n] // b[-1]
+        for j, c in enumerate(b):
+            a[i + j] -= q[i] * c
+    return q
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """A primitive gcd of a != 0 and b, by the primitive remainder sequence:
+    each pseudo-remainder is made primitive before it divides, which keeps
+    the coefficients from growing exponentially with the degree."""
+    a = _primitive(a)
+    while b:
+        b = _primitive(b)
+        r = a
+        while len(r) >= len(b):
+            c, shift = r[-1], len(r) - len(b)
+            r = [b[-1] * x for x in r]
+            for j, y in enumerate(b):
+                r[shift + j] -= c * y
+            while r and r[-1] == 0:
+                r.pop()
+        a, b = b, r
+    return a
+
+
+def _square_free(p: Polynomial) -> list[tuple[int, Polynomial]]:
+    """Yun's square-free decomposition p = c * prod f_i^i as the pairs
+    (i, f_i) with deg f_i >= 1, exact on p's coefficients scaled to integers.
+    Each f_i is rounded to floats once, scaled to p's leading coefficient,
+    so a square-free p comes back as itself, bit for bit."""
+    ratios = [c.as_integer_ratio() for c in p.coefficients]
+    den = max(d for _, d in ratios)  # each d is a power of two
+    f = [n * (den // d) for n, d in ratios]
+    df = _int_derivative(f)
+    g = _gcd(f, df)
+    b, c = _divide(f, g), _divide(df, g)
+    lead_n, lead_d = ratios[-1]
+    factors = []
+    i = 1
+    while len(b) > 1:
+        # d = c - b', where c has no more terms than b'
+        d = [x - y for x, y in zip(c + [0] * len(b), _int_derivative(b))]
+        while d and d[-1] == 0:
+            d.pop()
+        a = _gcd(b, d)
+        b, c = _divide(b, a), _divide(d, a)
+        if len(a) > 1:  # one correctly rounded int / int per coefficient
+            factors.append((i, Polynomial(tuple(x * lead_n / (a[-1] * lead_d)
+                                                for x in a))))
+        i += 1
+    return factors
 
 
 def _bisect(p: Polynomial, lo: float, hi: float) -> float:
@@ -164,117 +212,69 @@ def _check_bracket(lo: float, hi: float) -> None:
         raise ValueError(f"empty bracket ({lo}, {hi})")
 
 
-def _roots(chain: list[Polynomial], limits: list[float], k: int,
-           lo: float, hi: float) -> list[PolyRoot]:
-    """real_roots of chain[k] on [lo, hi]; chain[k + 1] is its derivative."""
+def _zeros(chain: list[Polynomial], k: int, lo: float,
+           hi: float) -> list[float]:
+    """The points of [lo, hi] where chain[k] changes sign, plus its exact
+    zeros there, sorted.  The same search on its derivative chain[k + 1]
+    splits [lo, hi] into pieces on which chain[k] is monotone; a piece whose
+    ends differ in sign gets its root bisected, then Newton-polished."""
     p, dp = chain[k], chain[k + 1]
-    crit = ([r.location for r in _roots(chain, limits, k + 1, lo, hi)]
-            if dp.degree >= 1 else [])
-    # even-multiplicity roots hide at critical points
-    evens = [x for x in crit if abs(p(x)) <= limits[k]]
-    candidates = [*evens, *(x for x in (lo, hi) if p(x) == 0.0)]
+    crit = _zeros(chain, k + 1, lo, hi) if dp.degree >= 1 else []
     ends = [lo, *(x for x in crit if lo < x < hi), hi]
     vals = [p(x) for x in ends]
-    changes = [fa != 0.0 and fb != 0.0 and (fa < 0.0) != (fb < 0.0)
-               for fa, fb in zip(vals[:-1], vals[1:])]
-    for a, b, change in zip(ends[:-1], ends[1:], changes):
-        if change:
-            candidates.append(_newton_polish(p, dp, _bisect(p, a, b)))
-    # a critical point between two sign changes is an extremum between two
-    # simple roots; near an actual double root rounding can flip p's sign
-    # there too, but then the roots bisected beside it join its cluster;
-    # only even-root candidates are looked up here
-    extrema = {x for x, left, right in zip(ends[1:-1], changes[:-1],
-                                           changes[1:])
-               if left and right} if evens else set()
+    zeros = {x for x, v in zip(ends, vals) if v == 0.0}
+    for a, b, fa, fb in zip(ends, ends[1:], vals, vals[1:]):
+        if fa != 0.0 and fb != 0.0 and (fa < 0.0) != (fb < 0.0):
+            zeros.add(_newton_polish(p, dp, _bisect(p, a, b)))
+    return sorted(zeros)
 
-    roots: list[PolyRoot] = []
-    cluster: list[float] = []
 
-    def flush_cluster() -> None:
-        if not cluster:
-            return
-        # rounding can zero p at near-root points too; the candidate where
-        # the most derivatives vanish is the actual root, residual breaks ties
-        best_mult, best = max(
-            ((_multiplicity(chain[k:], limits[k:], c), c) for c in cluster),
-            key=lambda mc: (mc[0], -abs(p(mc[1]))))
-        # where p'' vanishes too, rounding can flip p's sign up to about
-        # 1e-4 from a root of multiplicity 4, beyond the merge distance, so
-        # flanking sign changes there do not rule out an even root
-        if extrema and best_mult <= 2 and all(x in extrema
-                                              for x in cluster):
-            return
-        if lo - _DEDUPE_TOL <= best <= hi + _DEDUPE_TOL:
-            roots.append(PolyRoot(location=best, multiplicity=best_mult))
-
-    for x in sorted(candidates):
-        if cluster and x - cluster[-1] > _DEDUPE_TOL:
-            flush_cluster()
-            cluster = []
-        cluster.append(x)
-    flush_cluster()
-    return roots
+def _roots(chain: list[Polynomial], lo: float, hi: float) -> list[PolyRoot]:
+    """real_roots of chain[0]; chain holds chain[0] and any derivatives of
+    it already built, which a square-free chain[0] reuses."""
+    p = chain[0]
+    roots = [PolyRoot(x, m) for m, f in _square_free(p)
+             for x in _zeros(_derivative_chain(chain if f == p else [f]), 0,
+                             lo, hi)]
+    return sorted(roots, key=lambda r: r.location)
 
 
 def real_roots(p: Polynomial, bracket: tuple[float, float]) -> list[PolyRoot]:
     """All real roots of p inside the bracket, sorted, with multiplicities.
 
-    The critical points of p (the roots of p', found by the same search)
-    and the bracket's ends split the bracket into intervals on which p is
-    monotone, so each holds at most one root.  An interval whose ends differ
-    in sign gets its root bisected and Newton-polished until an iterate
-    repeats, at most 30 steps.  Roots of even multiplicity never change
-    sign: a critical point where |p| falls below DEFAULT_TOL * coefficient
-    scale is one, unless p changes sign on both sides of it, p'' does not
-    vanish there, and no other candidate lies within 1e-4: then it is an
-    extremum between two simple roots.  An end where p is exactly 0 is a
-    root.  The search builds each derivative of p once and walks down that
-    chain.
-
-    Near a multiple root the polynomial is flat and rounding noise limits
-    how precisely any candidate can be located, so candidates closer than
-    1e-4 are treated as one root (the one with the smallest residual wins).
-    Distinct roots closer than that are still reported as one.
+    Yun's square-free decomposition p = c * prod f_i^i, exact on p's
+    coefficients, gives the multiplicities: the roots of f_i have
+    multiplicity i in p as given.  A multiple root of a polynomial whose
+    coefficients were rounded can come back as simple roots or as none;
+    coefficients that floats hold exactly keep their structure.  Each f_i
+    is square-free, so its real roots are its sign changes and exact zeros
+    (see _zeros).  The search builds each derivative of each f_i once.
 
     When every odd coefficient is exactly 0 and the bracket is symmetric,
-    p(-x) equals p(x) bit for bit.  The critical points, the bisection
-    midpoints and the Newton steps then mirror exactly, and the roots come
-    out as exact +- pairs.
+    p(-x) equals p(x) bit for bit and each f_i is even or odd, so the
+    searches mirror exactly and the roots come out as exact +- pairs.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     _check_bracket(lo, hi)
     if p.degree < 1:
         raise ValueError("constant polynomials have no roots to find")
-    chain = _derivative_chain(p)
-    return _roots(chain, _limits(chain), 0, lo, hi)
+    return _roots([p], lo, hi)
 
 
 def critical_points(p: Polynomial) -> list[CriticalPoint]:
-    """Stationary points of p, classified by the first non-vanishing
-    derivative (sign of p'' when it is clearly nonzero)."""
+    """Stationary points of p: the real roots of p', each with its exact
+    multiplicity m.  For m even p' keeps its sign there (a saddle); for m
+    odd the sign of p^(m+1) tells a minimum from a maximum."""
     if p.degree < 2:
         raise ValueError("need degree >= 2 for meaningful critical points")
-    chain = _derivative_chain(p)
-    limits = _limits(chain)
+    chain = _derivative_chain([p])
     bound = chain[1].cauchy_root_bound() + 1.0
     _check_bracket(-bound, bound)
     out: list[CriticalPoint] = []
-    for root in _roots(chain, limits, 1, -bound, bound):
-        x = root.location
-        kind: CriticalKind | None = None
-        for m in range(2, len(chain)):
-            val = chain[m](x)
-            if abs(val) > limits[m]:
-                if m % 2 == 1:
-                    kind = CriticalKind.SADDLE
-                else:
-                    kind = CriticalKind.MINIMUM if val > 0 else CriticalKind.MAXIMUM
-                break
-        if kind is None:
-            # all higher derivatives vanish: p is locally constant (cannot
-            # happen for degree >= 2 after normalization)
-            kind = CriticalKind.SADDLE
+    for root in _roots(chain[1:], -bound, bound):
+        x, m = root.location, root.multiplicity
+        kind = (CriticalKind.SADDLE if m % 2 == 0 else CriticalKind.MINIMUM
+                if chain[m + 1](x) > 0.0 else CriticalKind.MAXIMUM)
         out.append(CriticalPoint(location=x, kind=kind, value=p(x)))
     return out
 

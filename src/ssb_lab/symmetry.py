@@ -29,6 +29,8 @@ import numpy as np
 # composed floating-point matrices still match their exact counterparts.
 ORTHO_TOL = 1e-12
 MATCH_TOL = 1e-10
+# squared distances overflow (past 1.8e308) from coordinates of about 1e154
+MAX_COORDINATE = 1e150
 _ASSOCIATIVITY_MAX_ORDER = 16
 
 
@@ -53,6 +55,12 @@ class OrthoTransform:
         if not all(map(math.isfinite, m.flat)):
             raise ValueError(f"matrix entries must be finite, "
                              f"got {m.tolist()}")
+        # a column of squared norm within ORTHO_TOL of 1 has no entry above
+        # 1 + ORTHO_TOL; larger ones are rejected before the product, which
+        # could overflow on them
+        if any(abs(x) > 1.0 + ORTHO_TOL for x in m.flat):
+            raise ValueError(f"matrix is not orthogonal (an entry is above 1 "
+                             f"in magnitude): {m.tolist()}")
         defect = np.max(np.abs(m.T @ m - np.eye(n)))
         if not defect <= ORTHO_TOL:
             raise ValueError(f"matrix is not orthogonal (defect {defect:.3e})")
@@ -245,6 +253,9 @@ class PointConfig:
             bad = np.flatnonzero(~np.isfinite(pts).all(axis=1)).tolist()
             raise ValueError(f"points {bad} have non-finite coordinates: "
                              f"{pts[bad].tolist()}")
+        if any(abs(x) > MAX_COORDINATE for x in pts.flat):
+            raise ValueError(f"coordinates must be at most "
+                             f"{MAX_COORDINATE:g} in magnitude")
         m = pts.shape[0]
         if m >= 2:
             # duplicate points make matching ill-defined

@@ -589,6 +589,23 @@ def test_config_file_values_are_validated_too(tmp_path, capsys):
                               "--out", str(tmp_path)], capsys)
 
 
+def test_unknown_config_keys_exit_two(tmp_path, capsys):
+    # a misspelt key used to be dropped, and the run went on with defaults
+    cfg = tmp_path / "settings.json"
+    cfg.write_text(json.dumps({"gird": 64, "seeed": 3, "grid": 8}))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["maxwell", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "ssb-lab maxwell: error: config file has unknown keys 'gird', 'seeed'"]
+    assert not out.exists()
+    # the keys of other subcommands stay valid, because all shares one config
+    cfg.write_text(json.dumps({"grid": 8, "trials": 10, "q": 2.0}))
+    assert main(["ode", "--config", str(cfg), "--out", str(out)]) == 0
+
+
 def test_smallest_two_level_grid_runs(tmp_path):
     # N = 5 compares the 4- and 5-point grids: too coarse to pass, but
     # every check is defined

@@ -8,6 +8,7 @@ Reference values:
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -46,8 +47,13 @@ def test_sphere_area_recurrence():
 
 
 def test_sphere_area_needs_n_at_least_two():
-    with pytest.raises(ValueError):
-        unit_sphere_area(1)
+    # inf and 10**400 raised OverflowError in int(n) and n / 2.0, and from
+    # n = 344 on Gamma(n / 2) overflows
+    for n in (1, math.inf, math.nan, 10 ** 400, 344):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                unit_sphere_area(n)
 
 
 # ---------------------------------------------------------------------------
@@ -84,11 +90,15 @@ def test_reference_radius_must_be_positive_and_finite(mu):
         PotentialSolution(n=2, q=1.0, mu=mu)
 
 
-@pytest.mark.parametrize("lam", [math.inf, math.nan, -2.0])
+@pytest.mark.parametrize("lam", [math.inf, math.nan, -2.0, 10 ** 400],
+                         ids=["inf", "nan", "-2.0", "int_1e400"])
 def test_scale_factor_must_be_positive_and_finite(lam):
-    # an infinite lam used to fail later, in the constructor of mu / lam
-    with pytest.raises(ValueError, match="lam"):
-        ScalingTransform(lam)
+    # an infinite lam used to fail later, in the constructor of mu / lam,
+    # and float(10**400) raised OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="lam"):
+            ScalingTransform(lam)
 
 
 def test_dimension_must_be_at_least_two():

@@ -1,5 +1,6 @@
-"""Every public constructor rejects a NaN or infinite number with a
-ValueError, before any arithmetic on it could warn."""
+"""Every public constructor rejects a NaN or infinite number, and the
+symmetry types a finite number too large for them, with a ValueError,
+before any arithmetic on it could warn."""
 
 from __future__ import annotations
 
@@ -47,6 +48,10 @@ def _constructions(bad, i, imag):
                                             imag)),
         lambda: PlaneWaveSpec(wave.k, wave.polarization,
                               complex(1.0, bad) if imag else bad),
+        # no entry of an orthogonal matrix is above 1 in magnitude, and
+        # squared distances overflow from coordinates of about 1e154
+        lambda: OrthoTransform(np.reshape(_with(rotation, i, 1e200), (2, 2))),
+        lambda: PointConfig([[1e200, 0.0], [-1e200, 0.0]]),
     ]
 
 

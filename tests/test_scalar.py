@@ -9,6 +9,7 @@ so the scan covers odd roots only; the even ones have exact closed forms.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -220,8 +221,8 @@ def _spaced_radii(draw):
 
 @settings(derandomize=True, deadline=None)
 @given(_spaced_radii(), st.booleans())
-# p has an extremum of -5.8e-11 between the roots 0.1171875 and 0.125, below
-# the even-root limit 1e-10: not a double root
+# p has an extremum of only -5.8e-11 between the roots 0.1171875 and 0.125;
+# p is square-free, so that extremum is no root
 @example([0.1015625, 0.125, 0.1171875], True)
 def test_even_polynomial_roots_recovered(radii, zero):
     p = _even_poly(radii, zero)
@@ -290,13 +291,23 @@ def test_newton_polish_stops_at_a_repeated_iterate(monkeypatch):
     assert evaluations.count(p) == evaluations.count(dp)
 
 
-@pytest.mark.parametrize("p", [
-    SQUARE_POLY, DOUBLE_WELL, Polynomial((-8.0, 12.0, -6.0, 1.0)),
-    _even_poly([0.3, 1.1, 1.7], zero=True),
-    Polynomial((1.0, -2.0, 0.5, 3.0, -1.0, 0.25, 2.0, -0.5, 1.0)),
-], ids=["square", "double_well", "cube", "even_octic",
-        "dense_octic"])
-def test_one_search_builds_each_derivative_once(p, monkeypatch):
+@pytest.mark.parametrize("p,in_roots,in_critical", [
+    (SQUARE_POLY, [1, 2], [1, 2]),
+    (DOUBLE_WELL, [1, 1, 2], [1, 2, 3, 4]),
+    (Polynomial((-8.0, 12.0, -6.0, 1.0)), [1], [1, 1, 2, 3]),
+    (_even_poly([0.3, 1.1, 1.7], zero=True), [1, 1, 2, 3, 4, 5, 6],
+     list(range(1, 9))),
+    (Polynomial((1.0, -2.0, 0.5, 3.0, -1.0, 0.25, 2.0, -0.5, 1.0)),
+     list(range(1, 9)), list(range(1, 9))),
+], ids=["square", "double_well", "cube", "even_octic", "dense_octic"])
+def test_one_search_builds_each_derivative_once(p, in_roots, in_critical,
+                                                monkeypatch):
+    # real_roots builds each derivative of each square-free factor once:
+    # x^2 - 1 and x for x^4 - x^2, only x - 2 for (x - 2)^3.  critical_points
+    # builds each derivative of p once and reuses them for a square-free p';
+    # for (x - 2)^3 it adds the derivative of the factor x - 2 of p'.  A
+    # square-free p (square, dense_octic) is its own only factor: degrees
+    # 1..deg, once each
     calls = []
     derivative = Polynomial.derivative
 
@@ -307,10 +318,104 @@ def test_one_search_builds_each_derivative_once(p, monkeypatch):
     monkeypatch.setattr(Polynomial, "derivative", counted)
     bound = p.cauchy_root_bound() + 1.0
     real_roots(p, (-bound, bound))
-    assert sorted(calls) == list(range(1, p.degree + 1))
+    assert sorted(calls) == in_roots
     calls.clear()
     critical_points(p)
-    assert sorted(calls) == list(range(1, p.degree + 1))
+    assert sorted(calls) == in_critical
+
+
+def _times(a, b):
+    """Product of two ascending coefficient lists, exactly."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@st.composite
+def _dyadic_roots(draw):
+    """Distinct roots k/8, |k| <= 16, with multiplicities 1 to 4 summing to
+    at most 10, and whether a factor x^2 + 1/4 (no real root) joins them."""
+    ks = draw(st.lists(st.integers(-16, 16), min_size=1, max_size=4,
+                       unique=True))
+    ms = []
+    for left in reversed(range(len(ks))):  # each root left needs 1 more
+        ms.append(draw(st.integers(1, min(4, 10 - sum(ms) - left))))
+    return sorted(zip(ks, ms)), sum(ms) <= 8 and draw(st.booleans())
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_dyadic_roots())
+@example(([(0, 4)], False))                              # x^4
+@example(([(-8, 2), (8, 2)], False))                     # (x^2 - 1)^2
+@example(([(9, 4), (10, 4)], True))                      # two close quadruples
+def test_exact_multiple_roots_recovered(case):
+    roots, quadratic = case
+    exact = [Fraction(1)]
+    for k, m in roots:
+        for _ in range(m):
+            exact = _times(exact, [Fraction(-k, 8), Fraction(1)])
+    if quadratic:
+        exact = _times(exact, [Fraction(1, 4), Fraction(0), Fraction(1)])
+    coeffs = [float(c) for c in exact]
+    assert [Fraction(c) for c in coeffs] == exact  # floats hold them exactly
+    p = Polynomial(tuple(coeffs))
+    bound = p.cauchy_root_bound() + 1.0
+    found = real_roots(p, (-bound, bound))
+    assert [r.multiplicity for r in found] == [m for _, m in roots]
+    np.testing.assert_allclose([r.location for r in found],
+                               [k / 8.0 for k, _ in roots], rtol=0.0,
+                               atol=1e-12)
+
+
+def _sturm_count(coeffs):
+    """The number of distinct real roots of the polynomial, exactly: sign
+    variations of its Sturm sequence at -inf minus those at +inf."""
+    seq = [[Fraction(c) for c in coeffs]]
+    seq.append([i * c for i, c in enumerate(seq[0])][1:])
+    while len(seq[-1]) > 1:
+        r = list(seq[-2])
+        while len(r) >= len(seq[-1]):
+            q, shift = r[-1] / seq[-1][-1], len(r) - len(seq[-1])
+            for j, y in enumerate(seq[-1]):
+                r[shift + j] -= q * y
+            while r and r[-1] == 0:
+                r.pop()
+        if not r:
+            break
+        seq.append([-c for c in r])
+
+    def variations(signs):
+        return sum((a < 0) != (b < 0) for a, b in zip(signs, signs[1:]))
+
+    return (variations([s[-1] * (-1) ** (len(s) - 1) for s in seq])
+            - variations([s[-1] for s in seq]))
+
+
+def test_distinct_root_count_equals_the_exact_sturm_count():
+    # generic polynomials: their critical points are far enough from their
+    # roots for float evaluation to tell the signs there apart
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        coeffs = rng.uniform(-10.0, 10.0, size=rng.integers(3, 10)).tolist()
+        p = Polynomial(tuple(coeffs))
+        bound = p.cauchy_root_bound() + 1.0
+        assert len(real_roots(p, (-bound, bound))) == _sturm_count(coeffs)
+
+
+def test_rounded_quadruple_root_is_not_guessed_back():
+    # rounding broke the quadruple root of (x - 1.3)^4: the coefficients
+    # given have two simple real roots, 1.2998018 and 1.3001982, and a
+    # complex pair; a multiplicity guessed from small derivatives gave
+    # (2, 4, 2), more roots than the degree
+    p = Polynomial(tuple(np.polynomial.polynomial.polyfromroots([1.3] * 4)))
+    roots = real_roots(p, (-5.0, 5.0))
+    assert [r.multiplicity for r in roots] == [1, 1]
+    assert sum(r.multiplicity for r in roots) <= p.degree
+    # rounding noise in p's values is as large as p this close to 1.3
+    np.testing.assert_allclose([r.location for r in roots],
+                               [1.2998018, 1.3001982], atol=1e-4)
 
 
 def test_poly_with_no_real_roots():
@@ -348,6 +453,17 @@ def test_quartic_saddle_classified():
     cps = critical_points(p)
     assert len(cps) == 1
     assert cps[0].kind is CriticalKind.SADDLE
+
+
+@pytest.mark.parametrize("coeffs,kinds", [
+    ((0.0, 0.0, 0.0, 0.0, 1.0), ["min"]),                 # x^4
+    ((0.0, 0.0, 0.0, 0.0, -1.0), ["max"]),                # -x^4
+    ((0.0, 0.0, 0.0, 0.0, 0.0, 1.0), ["saddle"]),         # x^5
+    ((1.0, 0.0, -2.0, 0.0, 1.0), ["min", "max", "min"]),  # (x^2 - 1)^2
+])
+def test_flat_critical_points_classified(coeffs, kinds):
+    cps = critical_points(Polynomial(coeffs))
+    assert [cp.kind.value for cp in cps] == kinds
 
 
 def test_critical_points_needs_degree_two():
