@@ -58,10 +58,12 @@ class Polynomial:
                                 enumerate(self.coefficients) if i >= 1))
 
     def cauchy_root_bound(self) -> float:
-        """All real roots lie in [-R, R] with R = 1 + max|c_i| / |c_lead|."""
+        """All real roots lie in [-R, R] with R = 1 + max|c_i| / |c_lead|,
+        rounded outward: one step up for each of its two roundings."""
         lead = abs(self.coefficients[-1])
         rest = max((abs(c) for c in self.coefficients[:-1]), default=0.0)
-        return 1.0 + rest / lead
+        return math.nextafter(math.nextafter(1.0 + rest / lead, math.inf),
+                              math.inf)
 
 
 @dataclass(frozen=True)

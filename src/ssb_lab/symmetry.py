@@ -8,6 +8,12 @@ matrix distance below a tolerance; invariance of a point configuration is a
 greedy nearest-neighbour matching that is then verified to be a bijection
 and, if edges are present, to permute the edge set.
 
+A stabilizer applies the whole group at once: the element matrices are
+stacked as one (|G|, n, n) array, the images of an (m, n) configuration are
+one batched product, and one matcher compares all of them with the
+configuration in a single (|G|, m, m) distance tensor, so memory is
+O(|G| m^2 n).  Orbits compare images pairwise through the same matcher.
+
 The classification at the bottom turns a problem group and a list of solution
 configurations into a verdict: unbroken symmetry (every solution keeps the
 full group), general breaking (solutions lose symmetry but a fully symmetric
@@ -285,44 +291,54 @@ class PointConfig:
         return self.points.shape[1]
 
 
-def transform_config(t: OrthoTransform, c: PointConfig) -> PointConfig:
-    if t.dim != c.dim:
-        raise ValueError(f"dimension mismatch: transform is {t.dim}-d, "
+def _check_dims(dim: int, c: PointConfig) -> None:
+    if dim != c.dim:
+        raise ValueError(f"dimension mismatch: transform is {dim}-d, "
                          f"config is {c.dim}-d")
+
+
+def transform_config(t: OrthoTransform, c: PointConfig) -> PointConfig:
+    _check_dims(t.dim, c)
     return PointConfig(t.apply(c.points), c.edges)
 
 
-def _match_points(src: np.ndarray, dst: np.ndarray,
-                  tol: float) -> np.ndarray | None:
-    """Greedy nearest-neighbour map src[i] -> dst[perm[i]], verified bijective.
+def _match_points(src: np.ndarray, dst: np.ndarray, src_edges: tuple,
+                  dst_edges: tuple, tol: float) -> list[int]:
+    """Indices k where the greedy nearest-neighbour map src[k, i] ->
+    dst[perm[i]] is a bijection within ``tol`` that maps ``src_edges`` onto
+    ``dst_edges``.
 
-    Valid because configs forbid near-duplicate points, so within scope any
-    matching below tol is unique.  Returns the permutation or None.
+    ``src`` is a (K, m, n) stack of point sets and ``dst`` one (m, n) set.
+    One (K, m, m) distance tensor serves all K of them; only those whose
+    points all lie within ``tol`` get the bijection and edge checks.  Greedy
+    matching is valid because configs forbid near-duplicate points, so
+    within scope any matching below tol is unique.
     """
-    m = src.shape[0]
+    diff = src[:, :, None, :] - dst
+    dist = np.sqrt((diff * diff).sum(axis=-1))
+    m = dist.shape[-1]
     if m == 0:
-        return np.zeros(0, dtype=int)
-    diff = src[:, None, :] - dst[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    perm = np.argmin(dist, axis=1)
-    # written so that a NaN distance or tolerance fails the match
-    if not float(np.max(dist[np.arange(m), perm])) <= tol:
-        return None
-    if len(set(perm.tolist())) != m:
-        return None
-    return perm
+        return list(range(len(dist)))
+    perms = dist.argmin(axis=-1)
+    # the row minimum is the matched distance, NaN included; written so
+    # that a NaN distance or tolerance fails the match
+    close = dist.min(axis=-1).max(axis=-1) <= tol
+    wanted = set(dst_edges)
+    matched = []
+    for k in np.flatnonzero(close).tolist():
+        p = perms[k].tolist()
+        if len(set(p)) == m and wanted == {
+                (min(p[i], p[j]), max(p[i], p[j])) for i, j in src_edges}:
+            matched.append(k)
+    return matched
 
 
 def config_equal(a: PointConfig, b: PointConfig, tol: float = MATCH_TOL) -> bool:
     """Same point set (within tol) and, under the matching, same edge set."""
     if a.n_points != b.n_points or a.dim != b.dim:
         return False
-    perm = _match_points(a.points, b.points, tol)
-    if perm is None:
-        return False
-    mapped = {(min(perm[i], perm[j]), max(perm[i], perm[j]))
-              for i, j in a.edges}
-    return mapped == set(b.edges)
+    return bool(_match_points(a.points[None], b.points, a.edges, b.edges,
+                              tol))
 
 
 def is_invariant(t: OrthoTransform, c: PointConfig,
@@ -333,27 +349,30 @@ def is_invariant(t: OrthoTransform, c: PointConfig,
     induced index permutation must map the edge set onto itself.  An empty
     configuration is invariant under everything.
     """
-    if t.dim != c.dim:
-        raise ValueError(f"dimension mismatch: transform is {t.dim}-d, "
-                         f"config is {c.dim}-d")
-    perm = _match_points(t.apply(c.points), c.points, tol)
-    if perm is None:
-        return False
-    mapped = {(min(perm[i], perm[j]), max(perm[i], perm[j]))
-              for i, j in c.edges}
-    return mapped == set(c.edges)
+    _check_dims(t.dim, c)
+    return bool(_match_points(t.apply(c.points)[None], c.points, c.edges,
+                              c.edges, tol))
 
 
 def stabilizer(g: FiniteGroup, c: PointConfig,
                tol: float = MATCH_TOL) -> FiniteGroup:
-    """The subgroup of elements leaving the configuration invariant."""
-    kept = tuple(t for t in g.elements if is_invariant(t, c, tol))
-    return FiniteGroup(kept)
+    """The subgroup of elements leaving the configuration invariant.
+
+    The images under all elements are matched to the config at once, in one
+    (|G|, m, m) distance tensor, so memory is O(|G| m^2 n).
+    """
+    _check_dims(g.dim, c)
+    mats = np.stack([t.matrix for t in g.elements])
+    # image k is bit-identical to g.elements[k].apply(c.points)
+    images = c.points @ mats.transpose(0, 2, 1)
+    kept = _match_points(images, c.points, c.edges, c.edges, tol)
+    return FiniteGroup(tuple(g.elements[k] for k in kept))
 
 
 def orbit(g: FiniteGroup, c: PointConfig,
           tol: float = MATCH_TOL) -> list[PointConfig]:
-    """Deduplicated images of the configuration under every group element."""
+    """Deduplicated images of the configuration under every group element,
+    each compared with the images kept so far by ``config_equal``."""
     images: list[PointConfig] = []
     for t in g.elements:
         image = transform_config(t, c)

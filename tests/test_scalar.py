@@ -113,6 +113,15 @@ def test_cauchy_bound_encloses_roots():
         assert bound >= np.max(np.abs(roots)) - 1e-9
 
 
+def test_cauchy_bound_is_rounded_outward():
+    # the real root lies just beyond -1/c; 1 + 1/c rounded to nearest falls
+    # short of it, and a + 1.0 margin is lost at this magnitude
+    p = Polynomial((1.0, 0.0, 1.0, 2.7175706677991435e-102))
+    bound = p.cauchy_root_bound()
+    assert p(-bound) < 0.0 < p(bound)
+    assert len(real_roots(p, (-bound, bound))) == 1
+
+
 # ---------------------------------------------------------------------------
 # root finding
 # ---------------------------------------------------------------------------

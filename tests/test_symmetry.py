@@ -3,18 +3,19 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ssb_lab.symmetry import (FiniteGroup, OrthoTransform, PointConfig,
-                              SSBKind, classify_ssb, config_equal,
-                              cyclic_group, dihedral_group, identity_transform,
-                              is_invariant, orbit, reflection2d, rotation2d,
-                              same_transform, sign_flip_group, stabilizer,
-                              transform_config,
+from ssb_lab.symmetry import (MATCH_TOL, FiniteGroup, OrthoTransform,
+                              PointConfig, SSBKind, classify_ssb,
+                              config_equal, cyclic_group, dihedral_group,
+                              identity_transform, is_invariant, orbit,
+                              reflection2d, rotation2d, same_transform,
+                              sign_flip_group, stabilizer, transform_config,
                               verify_group_axioms)
 
 
@@ -215,13 +216,129 @@ def test_stabilizer_of_axis_point():
     assert stab.order == 2  # identity and the x-axis mirror
 
 
-def test_orbit_stabilizer_product_is_group_order():
-    d4 = dihedral_group(4)
-    for point in ([0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.3, 0.7]):
-        c = PointConfig(np.array([point]))
-        n_orbit = len(orbit(d4, c))
-        n_stab = stabilizer(d4, c).order
-        assert n_orbit * n_stab == d4.order
+def _reference_match(src, dst):
+    """One pair of point sets at a time, as the group action was computed
+    before it was batched: the greedy map src[i] -> dst[perm[i]] or None."""
+    if len(src) == 0:
+        return []
+    diff = src[:, None, :] - dst[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    perm = np.argmin(dist, axis=1)
+    if not float(np.max(dist[np.arange(len(src)), perm])) <= MATCH_TOL:
+        return None
+    if len(set(perm.tolist())) != len(src):
+        return None
+    return perm.tolist()
+
+
+def _reference_equal(a, b):
+    perm = _reference_match(a.points, b.points)
+    return perm is not None and {
+        (min(perm[i], perm[j]), max(perm[i], perm[j])) for i, j in a.edges
+    } == set(b.edges)
+
+
+def _reference_stabilizer(g, c):
+    return [t for t in g.elements
+            if _reference_equal(PointConfig(t.apply(c.points), c.edges), c)]
+
+
+def _reference_orbit(g, c):
+    images = []
+    for t in g.elements:
+        image = PointConfig(t.apply(c.points), c.edges)
+        if not any(_reference_equal(image, seen) for seen in images):
+            images.append(image)
+    return images
+
+
+@st.composite
+def _groups_and_configs(draw):
+    """Dihedral and cyclic groups up to order 32, and 0-6 points that are
+    generic, on a mirror axis, at the centre, or on a regular k-gon, with
+    or without edges."""
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 16))
+        g = dihedral_group(k)
+    else:
+        k = draw(st.integers(1, 32))
+        g = cyclic_group(k)
+    candidates = []
+    for kind in draw(st.lists(st.sampled_from(
+            ["generic", "axis", "centre", "polygon"]), max_size=4)):
+        r = draw(st.integers(1, 1000)) / 1000.0
+        if kind == "generic":
+            candidates.append([r, draw(st.integers(-1000, 1000)) / 1000.0])
+        elif kind == "axis":
+            theta = math.pi * draw(st.integers(0, 2 * k - 1)) / k
+            candidates.append([r * math.cos(theta), r * math.sin(theta)])
+        elif kind == "centre":
+            candidates.append([0.0, 0.0])
+        else:
+            candidates += [[r * math.cos(2.0 * math.pi * j / k),
+                            r * math.sin(2.0 * math.pi * j / k)]
+                           for j in range(k)]
+    points = []
+    for p in candidates[:6]:
+        if all(math.dist(p, q) > 1e-6 for q in points):
+            points.append(p)
+    m = len(points)
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs \
+        else []
+    return g, PointConfig(np.array(points).reshape(m, 2), edges)
+
+
+# the orbit-stabilizer theorem, |orbit| * |stab| = |G|, and the batched
+# stabilizer against the per-element loop it replaced
+@settings(derandomize=True, deadline=None)
+@given(_groups_and_configs())
+@example((dihedral_group(4), PointConfig(np.zeros((0, 2)))))
+@example((dihedral_group(4), PointConfig([[0.0, 0.0]])))
+@example((cyclic_group(32), PointConfig([[0.0, 0.0]])))
+@example((dihedral_group(4), _square_config()))
+def test_orbit_stabilizer_product_is_group_order(group_and_config):
+    g, c = group_and_config
+    images, stab = orbit(g, c), stabilizer(g, c)
+    assert len(images) * stab.order == g.order
+
+    ref_images = _reference_orbit(g, c)
+    assert len(images) == len(ref_images)
+    for got, want in zip(images, ref_images):
+        assert np.array_equal(got.points, want.points)
+        assert got.edges == want.edges
+    ref_stab = _reference_stabilizer(g, c)
+    assert len(stab.elements) == len(ref_stab)
+    assert all(a is b for a, b in zip(stab.elements, ref_stab))
+
+    verdict = classify_ssb(g, images)
+    ref_witnesses = [_reference_stabilizer(g, image) for image in ref_images]
+    assert [list(w.elements) for w in verdict.witnesses] == ref_witnesses
+    full = [len(w) == g.order for w in ref_witnesses]
+    assert verdict.kind is (SSBKind.UNBROKEN if all(full) else
+                            SSBKind.NARROW if not any(full) else
+                            SSBKind.GENERAL)
+    assert verdict.invariant_solution == (full.index(True) if any(full)
+                                          else None)
+
+
+def test_group_action_memory_stays_bounded():
+    # |G| = 200 and m = 10: a stabilizer's (200, 10, 10, 2) difference
+    # tensor takes 320 kB; one over all pairs of images at once, (200, 200,
+    # 10, 10, 2), would take 64 MB
+    g = dihedral_group(100)
+    c = PointConfig(np.random.default_rng(7).uniform(-1.0, 1.0, (10, 2)))
+    tracemalloc.start()
+    try:
+        images = orbit(g, c)
+        stab = stabilizer(g, c)
+        verdict = classify_ssb(g, images)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(images) == 200 and stab.order == 1
+    assert verdict.kind is SSBKind.NARROW
+    assert peak < 8 * 2**20
 
 
 def test_generic_point_has_full_orbit():
