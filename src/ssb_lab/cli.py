@@ -136,7 +136,7 @@ def _z2_verdict(problem: sc.SignFlipProblem) -> sym.SSBVerdict:
 def _run_steiner(cfg: dict[str, Any], run: _Run) -> None:
     custom = cfg["terminals"] is not None
     if custom:
-        nets = st.optimize_all(np.asarray(cfg["terminals"], dtype=float))
+        nets = st.optimize_all(cfg["terminals"])
         winners = st.select_minima(nets)
     else:
         nets, winners = _square_networks(float(cfg["side"]))
@@ -172,7 +172,8 @@ def _run_steiner(cfg: dict[str, Any], run: _Run) -> None:
     if len(winners) == 2:
         quarter = sym.rotation2d(math.pi / 2.0, label="r90")
         mapped = sym.transform_config(quarter, winners[0].config())
-        swapped = sym.config_equal(mapped, winners[1].config(), tol=1e-8)
+        swapped = sym.config_equal(mapped, winners[1].config(),
+                                   tol=st.NETWORK_MATCH_TOL)
         run.check("steiner.quarter_turn_swaps_solutions",
                   "steiner.square.rotation_between_optima", swapped, True)
 
@@ -255,7 +256,8 @@ def _run_ode(cfg: dict[str, Any], run: _Run) -> None:
 
 def _run_maxwell(cfg: dict[str, Any], run: _Run) -> None:
     n_grid = int(cfg["grid"])
-    ns = sorted({max(4, n_grid // 4), max(4, n_grid // 2), n_grid})
+    ns = sorted({max(mx.MIN_GRID, n_grid // 4),
+                 max(mx.MIN_GRID, n_grid // 2), n_grid})
     spec = mx.make_helicity_wave(cfg["k"])
     # each level's snapshots are plane-wave fields, sampled slab by slab as
     # the residuals read them; the finest level's snapshots and residual
@@ -282,7 +284,7 @@ def _run_maxwell(cfg: dict[str, Any], run: _Run) -> None:
 
     # the vacuum F = 0, sampled as the zero-amplitude wave
     zero = mx.PlaneWaveField(mx.make_helicity_wave(cfg["k"], amplitude=0.0),
-                             max(4, n_grid // 4))
+                             ns[0])
     vacuum = mx.maxwell_residual(zero, zero, zero, dt)
     run.check("maxwell.vacuum_residual", "maxwell.vacuum",
               max(vacuum), 0.0, 0.0)
@@ -430,7 +432,7 @@ def _plot_radii(n: int, mu: float) -> list[float]:
 def _run_classify(cfg: dict[str, Any], run: _Run) -> None:
     winners = _square_networks(1.0)[1]
     verdict = sym.classify_ssb(_d4(), [w.config() for w in winners],
-                               tol=1e-8)
+                               tol=st.NETWORK_MATCH_TOL)
     run.check("classify.steiner_square", "classify.square_networks",
               verdict.kind.value, sym.SSBKind.NARROW.value)
     run.check("classify.steiner_square_witnesses", "classify.square_networks",
@@ -515,9 +517,7 @@ def _validate_config(name: str, cfg: dict[str, Any]) -> None:
         if not (_is_number(side) and side > 0):
             raise UsageError(f"square side must be a positive number, "
                              f"got {side!r}")
-        terminals = cfg["terminals"]
-        _check_terminals(st.square_terminals(side) if terminals is None
-                         else terminals)
+        _check_terminals(cfg)
     elif name == "ode":
         trials = cfg["trials"]
         if not (_is_int(trials) and 1 <= trials <= MAX_ODE_TRIALS):
@@ -580,22 +580,14 @@ def _unit_charge_peak(n: int, mu: float, lam: float) -> float:
                es.potential(es.PotentialSolution(n=6, q=1.0), 0.05))
 
 
-def _check_terminals(value: Any) -> None:
+def _check_terminals(cfg: dict[str, Any]) -> None:
+    """UsageError unless the run's terminals, the square's corners when no
+    terminals are given, meet ``steiner.terminal_array``'s rules."""
     try:
-        pts = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        pts = None
-    if pts is None or pts.ndim != 2 or pts.shape[1] != 2:
-        raise UsageError("terminals must be a JSON list of [x, y] pairs")
-    if len(pts) not in (3, 4):
-        raise UsageError(f"need 3 or 4 terminals, got {len(pts)}")
-    if not np.all(np.abs(pts) <= sym.MAX_COORDINATE):  # also false for NaN
-        raise UsageError(f"terminal coordinates must be finite and at most "
-                         f"{sym.MAX_COORDINATE:g} in magnitude")
-    try:
-        sym.PointConfig(pts)
-    except ValueError:
-        raise UsageError("terminals must be distinct points") from None
+        st.terminal_array(st.square_terminals(cfg["side"])
+                          if cfg["terminals"] is None else cfg["terminals"])
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _load_json(path: str, what: str) -> Any:

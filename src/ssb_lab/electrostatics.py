@@ -26,12 +26,17 @@ DEFAULT_QUAD_POINTS_2D = 1000
 DEFAULT_QUAD_POINTS_3D = 64  # Gauss-Legendre nodes in cos(theta); phi gets 2x
 
 
-def unit_sphere_area(n: int) -> float:
-    """Area of the unit (n-1)-sphere in n dimensions: 2 pi^{n/2} / Gamma(n/2)."""
-    # NaN fails n >= 2, and inf is tested before int() could overflow
+def _dimension(n: float) -> int:
+    """``n`` as an int, or ValueError unless it is an integer >= 2; NaN
+    fails n >= 2, and inf is tested before int() could overflow."""
     if not (n >= 2 and n != math.inf and int(n) == n):
         raise ValueError(f"dimension must be an integer >= 2, got {n}")
-    n = int(n)
+    return int(n)
+
+
+def unit_sphere_area(n: int) -> float:
+    """Area of the unit (n-1)-sphere in n dimensions: 2 pi^{n/2} / Gamma(n/2)."""
+    n = _dimension(n)
     try:
         return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
     except OverflowError:  # from n = 344 on, Gamma(n / 2) is past 1.8e308
@@ -57,15 +62,10 @@ class PotentialSolution:
     mu: float | None = None
 
     def __post_init__(self) -> None:
-        # NaN fails n >= 2, and inf is tested before int() could overflow
-        if not (self.n >= 2 and self.n != math.inf
-                and int(self.n) == self.n):
-            raise ValueError(f"dimension must be an integer >= 2, "
-                             f"got {self.n}")
+        object.__setattr__(self, "n", _dimension(self.n))
         q = float(self.q)
         if not math.isfinite(q):
             raise ValueError(f"charge q must be finite, got {q}")
-        object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "q", q)
         if self.n == 2:
             mu = 1.0 if self.mu is None else float(self.mu)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _TRANSVERSALITY_TOL = 1e-12
-_MIN_GRID = 4
+MIN_GRID = 4
 BOX_LENGTH = 2.0 * np.pi
 DEFAULT_GRID = 32
 DEFAULT_DT_RATIO = 0.1  # dt = ratio * h keeps time error subdominant
@@ -60,8 +60,8 @@ class ComplexFieldGrid:
         n = v.shape[0]
         if v.shape[0] != v.shape[1] or v.shape[1] != v.shape[2]:
             raise ValueError(f"grid must be cubic, got {v.shape[:3]}")
-        if n < _MIN_GRID:
-            raise ValueError(f"need at least {_MIN_GRID} points per axis, "
+        if n < MIN_GRID:
+            raise ValueError(f"need at least {MIN_GRID} points per axis, "
                              f"got {n}")
         if not (math.isfinite(self.spacing) and self.spacing > 0):
             raise ValueError(f"spacing must be a positive finite number, "
@@ -202,8 +202,8 @@ class PlaneWaveField:
 
     def __post_init__(self) -> None:
         spec, n, time = self.spec, operator.index(self.n_grid), self.time
-        if n < _MIN_GRID:
-            raise ValueError(f"need at least {_MIN_GRID} points per axis, "
+        if n < MIN_GRID:
+            raise ValueError(f"need at least {MIN_GRID} points per axis, "
                              f"got {n}")
         _check_time(time)
         h = BOX_LENGTH / n

@@ -12,6 +12,8 @@ _X_LIMIT = 700.0
 
 def translate_solution(c: float, a: float) -> float:
     """Coefficient of the translated solution: c * e^a."""
+    if not math.isfinite(c):
+        raise ValueError(f"coefficient must be finite, got {c}")
     if not math.isfinite(a):
         raise ValueError(f"shift must be finite, got {a}")
     if c == 0.0:

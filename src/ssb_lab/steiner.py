@@ -36,8 +36,9 @@ the square's center exchanges those two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
+import sys
+from dataclasses import dataclass, field
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -46,7 +47,7 @@ from .symmetry import FiniteGroup, PointConfig, config_equal, stabilizer
 _ZERO_EDGE_TOL = 1e-14
 # two networks, or a network and its image, match when their points do to
 # within this (select_minima's deduplication, residual_symmetry)
-_NETWORK_MATCH_TOL = 1e-8
+NETWORK_MATCH_TOL = 1e-8
 # a junction closer than this to another vertex counts as sitting on it; it
 # is larger than symmetry.MATCH_TOL, below which points count as duplicates
 _MERGE_TOL = 1e-9
@@ -160,37 +161,37 @@ def enumerate_topologies(n_terminals: int) -> list[SteinerTopology]:
 
 @dataclass(frozen=True)
 class SteinerNetwork:
-    """A topology embedded in the plane with its measured total length."""
+    """A topology embedded in the plane at ``points``, its m + s vertices
+    with the m terminals first.  The total edge length and the Fermat
+    residual (the largest |sum of unit edge vectors| at a degree-3 junction)
+    are computed from the points once, on construction."""
 
-    terminals: np.ndarray
-    steiner_points: np.ndarray
+    points: np.ndarray
     topology: SteinerTopology
-    total_length: float
-    fermat_residual: float
+    total_length: float = field(init=False)
+    fermat_residual: float = field(init=False)
 
     def __post_init__(self) -> None:
-        term = np.array(self.terminals, dtype=float)
-        stein = np.array(self.steiner_points, dtype=float).reshape(-1, 2)
-        if term.shape != (self.topology.n_terminals, 2):
-            raise ValueError(f"terminals shape {term.shape} does not match "
-                             f"topology")
-        if stein.shape[0] != self.topology.n_steiner:
-            raise ValueError(f"{stein.shape[0]} junction coordinates for "
-                             f"{self.topology.n_steiner} junctions")
-        term.flags.writeable = False
-        stein.flags.writeable = False
-        object.__setattr__(self, "terminals", term)
-        object.__setattr__(self, "steiner_points", stein)
-        pts = self.points
-        recomputed = sum(float(np.linalg.norm(pts[i] - pts[j]))
-                         for i, j in self.topology.edges)
-        if abs(recomputed - self.total_length) > 1e-12 * max(1.0, recomputed):
-            raise ValueError(f"stored length {self.total_length!r} does not "
-                             f"match edges ({recomputed!r})")
+        pts = np.array(self.points, dtype=float)
+        n_vertices = self.topology.n_terminals + self.topology.n_steiner
+        if pts.shape != (n_vertices, 2):
+            raise ValueError(f"points shape {pts.shape} does not match the "
+                             f"topology's {n_vertices} vertices")
+        pts.flags.writeable = False
+        object.__setattr__(self, "points", pts)
+        coords = pts.tolist()
+        object.__setattr__(self, "total_length",
+                           _total_length(self.topology.edges, coords))
+        object.__setattr__(self, "fermat_residual",
+                           _fermat_residual(self.topology, coords))
 
     @property
-    def points(self) -> np.ndarray:
-        return np.vstack([self.terminals, self.steiner_points])
+    def terminals(self) -> np.ndarray:
+        return self.points[:self.topology.n_terminals]
+
+    @property
+    def steiner_points(self) -> np.ndarray:
+        return self.points[self.topology.n_terminals:]
 
     def config(self) -> PointConfig:
         return PointConfig(self.points, self.topology.edges)
@@ -239,17 +240,6 @@ def _fermat_residual(topology: SteinerTopology, points: list[Point]) -> float:
                 sy += (qy - y) / d
         worst = max(worst, math.hypot(sx, sy))
     return worst
-
-
-def _assemble(topology: SteinerTopology, points: list[Point]) -> SteinerNetwork:
-    m = topology.n_terminals
-    return SteinerNetwork(
-        terminals=np.array(points[:m], dtype=float),
-        steiner_points=np.array(points[m:], dtype=float).reshape(-1, 2),
-        topology=topology,
-        total_length=_total_length(topology.edges, points),
-        fermat_residual=_fermat_residual(topology, points),
-    )
 
 
 def _apex(p: Point, q: Point, side: float) -> Point:
@@ -346,11 +336,11 @@ def _embed(topology: SteinerTopology, pts: list[Point],
             new_id.append(len(points))
             points.append(where)
     if len(points) - m == topology.n_steiner:
-        return _assemble(topology, points)
+        return SteinerNetwork(points, topology)
     edges = {(min(i, j), max(i, j)) for i, j in
              ((new_id[u], new_id[v]) for u, v in topology.edges) if i != j}
-    return _assemble(SteinerTopology(m, len(points) - m, tuple(sorted(edges)),
-                                     merged=True), points)
+    return SteinerNetwork(points, SteinerTopology(
+        m, len(points) - m, tuple(sorted(edges)), merged=True))
 
 
 def _admissible(net: SteinerNetwork) -> bool:
@@ -400,14 +390,30 @@ def optimize_topology(topology: SteinerTopology,
                                 for idx in order) if _admissible(net))
 
 
-def optimize_all(terminals: np.ndarray) -> list[SteinerNetwork]:
+def terminal_array(value: Any) -> np.ndarray:
+    """``value`` as an (m, 2) float array, or ValueError unless it is a list
+    of [x, y] pairs, 3 or 4 of them, finite, at most MAX_COORDINATE in
+    magnitude and distinct (the last three are ``PointConfig``'s rules)."""
+    try:
+        term = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # ragged, text, huge int
+        term = None
+    if term is None or term.ndim != 2 or term.shape[1] != 2:
+        raise ValueError("terminals must be a list of [x, y] pairs")
+    if len(term) not in (3, 4):
+        raise ValueError(f"need 3 or 4 terminals, got {len(term)}")
+    try:
+        PointConfig(term)
+    except ValueError as exc:
+        raise ValueError(f"terminals: {exc}") from None
+    return term
+
+
+def optimize_all(terminals: Any) -> list[SteinerNetwork]:
     """Optimize every candidate topology, in enumeration order."""
-    term = np.asarray(terminals, dtype=float)
-    if term.ndim != 2 or term.shape[1] != 2:
-        raise ValueError(f"terminals must be (m, 2), got shape {term.shape}")
-    PointConfig(term)  # rejects duplicate terminals
+    term = terminal_array(terminals)
     return [optimize_topology(topology, term)
-            for topology in enumerate_topologies(term.shape[0])]
+            for topology in enumerate_topologies(len(term))]
 
 
 def select_minima(nets: list[SteinerNetwork]) -> list[SteinerNetwork]:
@@ -421,7 +427,7 @@ def select_minima(nets: list[SteinerNetwork]) -> list[SteinerNetwork]:
         if net.total_length > best + DEGENERACY_TOL:
             continue
         cfg = net.config()
-        if any(config_equal(cfg, w.config(), _NETWORK_MATCH_TOL)
+        if any(config_equal(cfg, w.config(), NETWORK_MATCH_TOL)
                for w in winners):
             continue
         winners.append(net)
@@ -444,24 +450,23 @@ def check_fermat_condition(net: SteinerNetwork) -> FermatCheck:
     for i, j in net.topology.edges:
         if float(np.linalg.norm(pts[i] - pts[j])) < _ZERO_EDGE_TOL:
             raise ValueError(f"zero-length edge ({i}, {j}): merge unresolved")
-    m = net.topology.n_terminals
-    deg = net.topology.degrees()
-    is_full = net.topology.n_steiner > 0 and all(
-        deg[m + k] == 3 for k in range(net.topology.n_steiner))
-    residual = _fermat_residual(net.topology, [tuple(p) for p in pts])
-    return FermatCheck(is_full=is_full, ok=residual <= FERMAT_TOL,
-                       max_residual=residual)
+    deg = net.topology.degrees()[net.topology.n_terminals:]
+    is_full = bool(deg) and all(d == 3 for d in deg)
+    return FermatCheck(is_full=is_full,
+                       ok=net.fermat_residual <= FERMAT_TOL,
+                       max_residual=net.fermat_residual)
 
 
 def residual_symmetry(net: SteinerNetwork, group: FiniteGroup) -> FiniteGroup:
     """Stabilizer of the embedded network (terminals + junctions + edges)."""
-    return stabilizer(group, net.config(), _NETWORK_MATCH_TOL)
+    return stabilizer(group, net.config(), NETWORK_MATCH_TOL)
 
 
 def square_terminals(side: float = 1.0) -> np.ndarray:
     """Corners of a side-``side`` square centered at the origin, so the
     dihedral symmetry machinery (which acts about the origin) applies."""
-    if side <= 0:
-        raise ValueError(f"side must be positive, got {side}")
+    # NaN fails both comparisons, and an int beyond the floats fails the second
+    if not 0 < side <= sys.float_info.max:
+        raise ValueError(f"side must be a positive finite float, got {side}")
     h = side / 2.0
     return np.array([[-h, -h], [h, -h], [h, h], [-h, h]])

@@ -202,16 +202,10 @@ def verify_group_axioms(g: FiniteGroup, tol: float = MATCH_TOL) -> GroupCheck:
 
 def dihedral_group(k: int) -> FiniteGroup:
     """Rotations by multiples of 2*pi/k plus k reflections (order 2k)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    elements = []
-    for j in range(k):
-        deg = 360.0 * j / k
-        elements.append(rotation2d(2.0 * np.pi * j / k, label=f"r{deg:g}"))
-    for j in range(k):
-        deg = 180.0 * j / k
-        elements.append(reflection2d(np.pi * j / k, label=f"m{deg:g}"))
-    return FiniteGroup(tuple(elements))
+    rotations = cyclic_group(k).elements
+    return FiniteGroup(rotations + tuple(
+        reflection2d(np.pi * j / k, label=f"m{180.0 * j / k:g}")
+        for j in range(k)))
 
 
 def cyclic_group(k: int) -> FiniteGroup:

@@ -261,6 +261,7 @@ def _exits_two_with_one_line(argv, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1, err
     assert "Traceback" not in err
+    return err
 
 
 @pytest.mark.parametrize("text", [
@@ -273,13 +274,15 @@ def _exits_two_with_one_line(argv, capsys):
     "[0, 1, 2]",
     "[[0, 0, 0], [1, 0, 0], [0, 1, 0]]",
     "[[1e300, 0], [0, 1e300], [-1e300, 0]]",
+    "[[1" + "0" * 400 + ", 0], [0, 1], [1, 1]]",
 ], ids=["two", "five", "duplicate", "nan", "infinite", "object", "flat",
-        "three_d", "huge"])
+        "three_d", "huge", "huge_int"])
 def test_bad_terminals_file_exits_two(tmp_path, capsys, text):
     src = tmp_path / "terminals.json"
     src.write_text(text)
-    _exits_two_with_one_line(["steiner", "--terminals", str(src),
-                              "--out", str(tmp_path)], capsys)
+    err = _exits_two_with_one_line(["steiner", "--terminals", str(src),
+                                    "--out", str(tmp_path)], capsys)
+    assert err.startswith("ssb-lab steiner: error: "), err
     assert not (tmp_path / "manifest_steiner.json").exists()
 
 
@@ -587,6 +590,11 @@ def test_config_file_values_are_validated_too(tmp_path, capsys):
     cfg.write_text(json.dumps({"grid": "abc"}))
     _exits_two_with_one_line(["maxwell", "--config", str(cfg),
                               "--out", str(tmp_path)], capsys)
+    # a side no float holds, so its corners cannot be computed
+    cfg.write_text(json.dumps({"side": 10 ** 400}))
+    err = _exits_two_with_one_line(["steiner", "--config", str(cfg),
+                                    "--out", str(tmp_path)], capsys)
+    assert "side must be a positive finite float" in err
 
 
 def test_unknown_config_keys_exit_two(tmp_path, capsys):

@@ -34,6 +34,14 @@ def test_translation_rejects_non_finite_shift():
             translate_solution(1.0, a)
 
 
+def test_translation_rejects_non_finite_coefficient():
+    # checked before the overflow test, whose message would blame e^a
+    for c in (math.inf, -math.inf, math.nan):
+        for a in (0.0, 1.0):
+            with pytest.raises(ValueError, match="coefficient must be finite"):
+                translate_solution(c, a)
+
+
 @settings(derandomize=True, deadline=None)
 @given(finite_c, finite_a, finite_a)
 def test_translations_compose_additively(c, a, b):

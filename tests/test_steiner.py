@@ -20,7 +20,7 @@ from ssb_lab.steiner import (SteinerNetwork, SteinerTopology,
                              check_fermat_condition, enumerate_topologies,
                              optimize_all, optimize_topology,
                              residual_symmetry, select_minima,
-                             square_terminals)
+                             square_terminals, terminal_array)
 from ssb_lab.symmetry import (PointConfig, classify_ssb, config_equal,
                               dihedral_group, rotation2d, transform_config,
                               SSBKind)
@@ -227,6 +227,32 @@ def test_terminal_shape_validated():
         optimize_all(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("value, match", [
+    ([[0, 0], [1, 0]], "need 3 or 4 terminals, got 2"),
+    ([[0, 0], [1, 0], [0, 1], [1, 1], [2, 2]], "need 3 or 4 terminals"),
+    ([0, 1, 2], r"list of \[x, y\] pairs"),
+    ([[0, 0], [1, 0], [0]], r"list of \[x, y\] pairs"),
+    ([[0, 0], [1, 0], ["a", 1]], r"list of \[x, y\] pairs"),
+    ([[10 ** 400, 0], [1, 0], [0, 1]], r"list of \[x, y\] pairs"),
+    ([[0, 0], [1, 0], [math.nan, 1]], "terminals: .*non-finite"),
+    ([[0, 0], [1, 0], [1e151, 1]], "terminals: .*at most 1e\\+150"),
+    ([[0, 0], [1, 0], [0, 0]], "terminals: .*duplicate"),
+], ids=["two", "five", "flat", "ragged", "text", "huge_int", "nan", "huge",
+        "duplicate"])
+def test_terminal_array_states_the_terminal_rules(value, match):
+    with pytest.raises(ValueError, match=match):
+        terminal_array(value)
+    with pytest.raises(ValueError, match=match):
+        optimize_all(value)
+
+
+@pytest.mark.parametrize("side", [0.0, -1.0, math.nan, math.inf, -math.inf,
+                                  10 ** 400])
+def test_square_side_must_be_positive_and_finite(side):
+    with pytest.raises(ValueError, match="side must be"):
+        square_terminals(side)
+
+
 def test_select_minima_requires_networks():
     with pytest.raises(ValueError):
         select_minima([])
@@ -236,14 +262,13 @@ def test_select_minima_requires_networks():
 # network objects
 # ---------------------------------------------------------------------------
 
-def test_network_length_is_validated():
-    topo = SteinerTopology(3, 0, ((0, 1), (1, 2)))
-    terminals = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
-    with pytest.raises(ValueError):
-        SteinerNetwork(terminals=terminals,
-                       steiner_points=np.zeros((0, 2)),
-                       topology=topo, total_length=5.0,
-                       fermat_residual=0.0)
+def test_network_points_must_match_the_topology():
+    topo = SteinerTopology(3, 1, ((0, 3), (1, 3), (2, 3)))
+    for points in (TRIANGLE,  # the junction is missing
+                   np.vstack([TRIANGLE, [[0.0, 0.0], [1.0, 1.0]]]),
+                   np.zeros((4, 3)), np.zeros(8)):
+        with pytest.raises(ValueError, match="does not match"):
+            SteinerNetwork(points, topo)
 
 
 def test_segments_match_edges(square_solutions):
@@ -256,11 +281,9 @@ def test_segments_match_edges(square_solutions):
 
 def test_fermat_check_rejects_zero_length_edges():
     topo = SteinerTopology(3, 1, ((0, 3), (1, 3), (2, 3)))
-    terminals = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
-    junction = np.array([[0.0, 0.0]])  # sits exactly on terminal 0
-    net = SteinerNetwork(terminals=terminals, steiner_points=junction,
-                         topology=topo, total_length=4.0,
-                         fermat_residual=0.0)
+    # the junction, vertex 3, sits exactly on terminal 0
+    net = SteinerNetwork(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0],
+                                   [0.0, 0.0]]), topo)
     with pytest.raises(ValueError):
         check_fermat_condition(net)
 
@@ -380,6 +403,22 @@ def test_winners_meet_at_120_degrees(points):
     for net in select_minima(optimize_all(_separated(points))):
         check = check_fermat_condition(net)
         assert check.max_residual <= 1e-9
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_TERMINAL_SETS)
+def test_network_facts_are_derived_from_its_points(points):
+    for net in optimize_all(_separated(points)):
+        m = net.topology.n_terminals
+        assert net.total_length == sum(math.hypot(x2 - x1, y2 - y1)
+                                       for x1, y1, x2, y2 in net.segments())
+        assert check_fermat_condition(net).max_residual == net.fermat_residual
+        for view, want in ((net.terminals, net.points[:m]),
+                           (net.steiner_points, net.points[m:])):
+            assert view.shape[1] == 2 and np.array_equal(view, want)
+            assert not view.flags.writeable
+            with pytest.raises(ValueError):
+                view[0, 0] = 1.0
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
