@@ -22,6 +22,7 @@ import numpy as np
 from .symmetry import PointConfig, SSBVerdict, classify_ssb, sign_flip_group
 
 _CLASSIFY_TOL = 1e-9
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -135,18 +136,23 @@ def _gcd(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
+def _integer_coefficients(p: Polynomial) -> tuple[list[int], int]:
+    """p's coefficients exactly, as integers over one common denominator,
+    a power of two."""
+    ratios = [c.as_integer_ratio() for c in p.coefficients]
+    den = max(d for _, d in ratios)  # each d is a power of two
+    return [n * (den // d) for n, d in ratios], den
+
+
 def _square_free(p: Polynomial) -> list[tuple[int, Polynomial]]:
     """Yun's square-free decomposition p = c * prod f_i^i as the pairs
     (i, f_i) with deg f_i >= 1, exact on p's coefficients scaled to integers.
     Each f_i is rounded to floats once, scaled to p's leading coefficient,
     so a square-free p comes back as itself, bit for bit."""
-    ratios = [c.as_integer_ratio() for c in p.coefficients]
-    den = max(d for _, d in ratios)  # each d is a power of two
-    f = [n * (den // d) for n, d in ratios]
+    f, den = _integer_coefficients(p)
     df = _int_derivative(f)
     g = _gcd(f, df)
     b, c = _divide(f, g), _divide(df, g)
-    lead_n, lead_d = ratios[-1]
     factors = []
     i = 1
     while len(b) > 1:
@@ -157,53 +163,47 @@ def _square_free(p: Polynomial) -> list[tuple[int, Polynomial]]:
         a = _gcd(b, d)
         b, c = _divide(b, a), _divide(d, a)
         if len(a) > 1:  # one correctly rounded int / int per coefficient
-            factors.append((i, Polynomial(tuple(x * lead_n / (a[-1] * lead_d)
+            factors.append((i, Polynomial(tuple(x * f[-1] / (a[-1] * den)
                                                 for x in a))))
         i += 1
     return factors
 
 
-def _bisect(p: Polynomial, lo: float, hi: float) -> float:
-    flo = p(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fmid = p(mid)
-        if fmid == 0.0:
-            return mid
-        if (flo < 0.0) == (fmid < 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _root(p: Polynomial, dp: Polynomial, lo: float, hi: float,
+          flo: float) -> float:
+    """The root of p in (lo, hi), where p is monotone and p(lo) = flo and
+    p(hi) differ in sign: Newton's method kept inside the bracket (rtsafe,
+    Press et al., Numerical Recipes, 9.4).
 
-
-def _newton_polish(p: Polynomial, dp: Polynomial, x: float) -> float:
-    """The Newton iterate from x with the smallest |p|, x included.
-
-    Each step evaluates p and p' once.  It stops after 30 steps, where
-    p' = 0, where p = 0, or at the first iterate it has seen before: the
-    step map is deterministic, so from a repeat on it only revisits
-    iterates whose |p| it has already compared.
+    Each step evaluates p and p' at one point strictly inside the bracket,
+    the Newton iterate when it lands there and the midpoint otherwise, and
+    shrinks the bracket to the side where p changes sign.  The loop stops
+    at an exact zero, at a Newton iterate it has evaluated before, when the
+    midpoint is an end of the bracket, or after 200 steps, and returns the
+    evaluated point with the smallest |p|.  Every rule mirrors exactly
+    under x -> -x.
     """
-    fx = p(x)
-    best_x, best_val = x, abs(fx)
-    seen = {x}
-    for _ in range(30):
-        d = dp(x)
-        if d == 0.0:
-            break
-        x = x - fx / d
-        if x in seen:
+    x = 0.5 * (lo + hi)
+    best_x, best_val = x, math.inf
+    seen = set()
+    for _ in range(200):
+        if x == lo or x == hi:  # only a midpoint can be an end
             break
         seen.add(x)
         fx = p(x)
-        val = abs(fx)
-        if val < best_val:
-            best_x, best_val = x, val
-        if val == 0.0:
+        if abs(fx) < best_val:
+            best_x, best_val = x, abs(fx)
+        if fx == 0.0:
             break
+        if (fx < 0.0) == (flo < 0.0):
+            lo, flo = x, fx
+        else:
+            hi = x
+        d = dp(x)
+        step = x - fx / d if d != 0.0 else math.nan  # NaN: bisect
+        if step in seen:
+            break
+        x = step if lo < step < hi else 0.5 * (lo + hi)
     return best_x
 
 
@@ -214,20 +214,44 @@ def _check_bracket(lo: float, hi: float) -> None:
         raise ValueError(f"empty bracket ({lo}, {hi})")
 
 
+def _split_value(p: Polynomial, x: float) -> float:
+    """p(x) with its sign exact.  Where the float value lies within Horner's
+    a-priori error bound gamma_2n * sum |a_i| |x|^i of zero (Higham 2002,
+    5.1), rounding may have flipped its sign, so the sign is computed in
+    integers from p's coefficients and x, and returned as -1.0, 0.0 or 1.0.
+    """
+    v = p(x)
+    n, ax, mag = p.degree, abs(x), 0.0
+    for c in reversed(p.coefficients):
+        mag = mag * ax + abs(c)
+    gamma = 2 * n * _UNIT_ROUNDOFF / (1.0 - 2 * n * _UNIT_ROUNDOFF)
+    if abs(v) > gamma * mag:
+        return v
+    f, _ = _integer_coefficients(p)
+    num, den = x.as_integer_ratio()
+    acc, scale = f[-1], 1  # sum f_i num^i den^(n - i), Horner in num
+    for c in reversed(f[:-1]):
+        scale *= den
+        acc = acc * num + c * scale
+    return float((acc > 0) - (acc < 0))
+
+
 def _zeros(chain: list[Polynomial], k: int, lo: float,
            hi: float) -> list[float]:
     """The points of [lo, hi] where chain[k] changes sign, plus its exact
     zeros there, sorted.  The same search on its derivative chain[k + 1]
-    splits [lo, hi] into pieces on which chain[k] is monotone; a piece whose
-    ends differ in sign gets its root bisected, then Newton-polished."""
+    splits [lo, hi] into pieces on which chain[k] is monotone, with the
+    sign of chain[k] read exactly at each split point; a piece whose ends
+    differ in sign holds one root, which _root finds."""
     p, dp = chain[k], chain[k + 1]
     crit = _zeros(chain, k + 1, lo, hi) if dp.degree >= 1 else []
-    ends = [lo, *(x for x in crit if lo < x < hi), hi]
-    vals = [p(x) for x in ends]
+    inner = [x for x in crit if lo < x < hi]
+    ends = [lo, *inner, hi]
+    vals = [p(lo), *(_split_value(p, x) for x in inner), p(hi)]
     zeros = {x for x, v in zip(ends, vals) if v == 0.0}
     for a, b, fa, fb in zip(ends, ends[1:], vals, vals[1:]):
         if fa != 0.0 and fb != 0.0 and (fa < 0.0) != (fb < 0.0):
-            zeros.add(_newton_polish(p, dp, _bisect(p, a, b)))
+            zeros.add(_root(p, dp, a, b, fa))
     return sorted(zeros)
 
 
@@ -250,7 +274,9 @@ def real_roots(p: Polynomial, bracket: tuple[float, float]) -> list[PolyRoot]:
     coefficients were rounded can come back as simple roots or as none;
     coefficients that floats hold exactly keep their structure.  Each f_i
     is square-free, so its real roots are its sign changes and exact zeros
-    (see _zeros).  The search builds each derivative of each f_i once.
+    (see _zeros), each found by one loop of Newton steps kept inside its
+    sign-change bracket (see _root).  The search builds each derivative of
+    each f_i once.
 
     When every odd coefficient is exactly 0 and the bracket is symmetric,
     p(-x) equals p(x) bit for bit and each f_i is even or odd, so the

@@ -2,7 +2,7 @@
 
 The canonical polynomials get their root locations cross-checked against a
 dense sign-change scan (step 1e-6) that knows nothing about the bracketing
-and polishing logic under test.  Even-multiplicity roots never change sign,
+and Newton logic under test.  Even-multiplicity roots never change sign,
 so the scan covers odd roots only; the even ones have exact closed forms.
 """
 
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from ssb_lab.scalar import (DOUBLE_WELL, SQUARE_POLY, CriticalKind,
                             Polynomial, PolyRoot, SignFlipProblem,
-                            _newton_polish, critical_points, real_roots,
+                            critical_points, real_roots,
                             z2_solve, z2_solutions, z2_verdict)
 from ssb_lab.symmetry import SSBKind
 
@@ -244,71 +244,46 @@ def test_even_polynomial_roots_recovered(radii, zero):
     np.testing.assert_allclose(found, expected, atol=1e-8)
 
 
-def _thirty_step_polish(p, dp, x):
-    """The Newton polish that always ran 30 steps, stopping early only
-    where p' or p is exactly 0, and evaluated p twice per step."""
-    best_x, best_val = x, abs(p(x))
-    for _ in range(30):
-        d = dp(x)
-        if d == 0.0:
-            break
-        x = x - p(x) / d
-        val = abs(p(x))
-        if val < best_val:
-            best_x, best_val = x, val
-        if val == 0.0:
-            break
-    return best_x
-
-
-_COEFFICIENTS = st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=8)
-
-
-@settings(derandomize=True, deadline=None, max_examples=400)
-@given(_COEFFICIENTS,
-       st.floats(-10.0, 10.0) | st.floats(100.0, 1e6) | st.floats(-1e6, -100.0),
-       st.booleans())
-@example([-2.0, 0.0, 1.0], 1.5, False)    # iterates cycle next to sqrt(2)
-@example([-1.0, 0.0, 1.0], 1e6, False)    # far from both roots
-@example([-1.0, 0.0, 1.0], 0.0, False)    # p'(0) = 0 at the start
-def test_newton_polish_matches_the_thirty_step_loop(coeffs, start, flat):
-    if flat:  # p'(0) = 0: no step can be taken from 0
-        coeffs[1], start = 0.0, 0.0
-    assume(coeffs[-1] != 0.0)
-    p = Polynomial(tuple(coeffs))
-    dp = p.derivative()
-    assert (_newton_polish(p, dp, start).hex()
-            == _thirty_step_polish(p, dp, start).hex())
-
-
-def test_newton_polish_stops_at_a_repeated_iterate(monkeypatch):
+def test_newton_iterates_that_cycle_stop_at_the_repeat(monkeypatch):
+    # next to sqrt(2) the Newton iterates of x^2 - 2 cycle between two
+    # neighbouring floats; the search stops at the first repeat
     p = Polynomial((-2.0, 0.0, 1.0))
-    dp = p.derivative()
-    evaluations = []
+    points = []
     horner = Polynomial.__call__
 
     def counted(self, x):
-        evaluations.append(self)
+        if self == p:
+            points.append(x)
         return horner(self, x)
 
     monkeypatch.setattr(Polynomial, "__call__", counted)
-    x = _newton_polish(p, dp, 1.5)
-    assert abs(x - math.sqrt(2.0)) <= 4.5e-16
-    # p and p' once per step; the loop that always ran 30 steps made 61
-    # evaluations of p and 30 of p'
-    assert evaluations.count(dp) < 10
-    assert evaluations.count(p) == evaluations.count(dp)
+    [root] = real_roots(p, (1.0, 2.0))
+    assert abs(root.location - math.sqrt(2.0)) <= 4.5e-16
+    # p at the bracket ends 1 and 2, then once per step: the midpoint 1.5,
+    # four Newton iterates and the neighbour whose Newton step returns to
+    # an iterate already evaluated
+    steps = points[2:]
+    assert len(steps) == len(set(steps)) == 6
+    assert abs(steps[-1] - steps[-2]) == math.ulp(math.sqrt(2.0))
+
+
+_SEARCHED = {
+    "square": SQUARE_POLY,
+    "double_well": DOUBLE_WELL,
+    "cube": Polynomial((-8.0, 12.0, -6.0, 1.0)),
+    "even_octic": _even_poly([0.3, 1.1, 1.7], zero=True),
+    "dense_octic": Polynomial((1.0, -2.0, 0.5, 3.0, -1.0, 0.25, 2.0, -0.5,
+                               1.0)),
+}
 
 
 @pytest.mark.parametrize("p,in_roots,in_critical", [
-    (SQUARE_POLY, [1, 2], [1, 2]),
-    (DOUBLE_WELL, [1, 1, 2], [1, 2, 3, 4]),
-    (Polynomial((-8.0, 12.0, -6.0, 1.0)), [1], [1, 1, 2, 3]),
-    (_even_poly([0.3, 1.1, 1.7], zero=True), [1, 1, 2, 3, 4, 5, 6],
-     list(range(1, 9))),
-    (Polynomial((1.0, -2.0, 0.5, 3.0, -1.0, 0.25, 2.0, -0.5, 1.0)),
-     list(range(1, 9)), list(range(1, 9))),
-], ids=["square", "double_well", "cube", "even_octic", "dense_octic"])
+    (_SEARCHED["square"], [1, 2], [1, 2]),
+    (_SEARCHED["double_well"], [1, 1, 2], [1, 2, 3, 4]),
+    (_SEARCHED["cube"], [1], [1, 1, 2, 3]),
+    (_SEARCHED["even_octic"], [1, 1, 2, 3, 4, 5, 6], list(range(1, 9))),
+    (_SEARCHED["dense_octic"], list(range(1, 9)), list(range(1, 9))),
+], ids=list(_SEARCHED))
 def test_one_search_builds_each_derivative_once(p, in_roots, in_critical,
                                                 monkeypatch):
     # real_roots builds each derivative of each square-free factor once:
@@ -331,6 +306,33 @@ def test_one_search_builds_each_derivative_once(p, in_roots, in_critical,
     calls.clear()
     critical_points(p)
     assert sorted(calls) == in_critical
+
+
+# evaluations of Polynomial.__call__ per real_roots:
+#                bisection + Newton polish   bracketed Newton
+# square                   123                      28
+# double_well              129                      31
+# cube                      57                       5
+# even_octic              1085                     329
+# dense_octic              625                     250
+@pytest.mark.parametrize("name,bisected", [
+    ("square", 123), ("double_well", 129), ("cube", 57),
+    ("even_octic", 1085), ("dense_octic", 625),
+])
+def test_root_search_makes_at_most_half_the_bisection_evaluations(
+        name, bisected, monkeypatch):
+    p = _SEARCHED[name]
+    bound = p.cauchy_root_bound() + 1.0
+    calls = []
+    horner = Polynomial.__call__
+
+    def counted(self, x):
+        calls.append(x)
+        return horner(self, x)
+
+    monkeypatch.setattr(Polynomial, "__call__", counted)
+    real_roots(p, (-bound, bound))
+    assert len(calls) <= bisected // 2
 
 
 def _times(a, b):
@@ -411,6 +413,98 @@ def test_distinct_root_count_equals_the_exact_sturm_count():
         p = Polynomial(tuple(coeffs))
         bound = p.cauchy_root_bound() + 1.0
         assert len(real_roots(p, (-bound, bound))) == _sturm_count(coeffs)
+
+
+def test_close_pair_next_to_a_critical_point_keeps_both_roots():
+    # p at the critical point between -4.85151 and -4.85148 is smaller than
+    # Horner's rounding error there; read from the float value, its sign
+    # matched both neighbours and the pair came back as one root
+    coeffs = np.polynomial.polynomial.polyfromroots(
+        [-4.86194, -4.85151, -4.85148, -4.84048, 4.28445]).tolist()
+    p = Polynomial(tuple(coeffs))
+    bound = p.cauchy_root_bound() + 1.0
+    roots = real_roots(p, (-bound, bound))
+    assert len(roots) == _sturm_count(coeffs) == 5
+    assert [r.multiplicity for r in roots] == [1] * 5
+
+
+def _bisect(p, lo, hi):
+    """Reference root search: bisection of a sign-change bracket down to
+    adjacent floats."""
+    flo = p(lo)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        fmid = p(mid)
+        if fmid == 0.0:
+            return mid
+        if (flo < 0.0) == (fmid < 0.0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _newton_polish(p, dp, x):
+    """Reference polish: the Newton iterate from x with the smallest |p|,
+    within 30 steps and up to the first repeated iterate."""
+    fx = p(x)
+    best_x, best_val = x, abs(fx)
+    seen = {x}
+    for _ in range(30):
+        d = dp(x)
+        if d == 0.0:
+            break
+        x = x - fx / d
+        if x in seen:
+            break
+        seen.add(x)
+        fx = p(x)
+        if abs(fx) < best_val:
+            best_x, best_val = x, abs(fx)
+        if fx == 0.0:
+            break
+    return best_x
+
+
+def _reference_zeros(chain, k, lo, hi):
+    """Sign changes and exact zeros of chain[k] in [lo, hi], each root
+    bisected and then polished, with float signs at the split points."""
+    p, dp = chain[k], chain[k + 1]
+    crit = _reference_zeros(chain, k + 1, lo, hi) if dp.degree >= 1 else []
+    ends = [lo, *(x for x in crit if lo < x < hi), hi]
+    vals = [p(x) for x in ends]
+    zeros = {x for x, v in zip(ends, vals) if v == 0.0}
+    for a, b, fa, fb in zip(ends, ends[1:], vals, vals[1:]):
+        if fa != 0.0 and fb != 0.0 and (fa < 0.0) != (fb < 0.0):
+            zeros.add(_newton_polish(p, dp, _bisect(p, a, b)))
+    return sorted(zeros)
+
+
+def test_roots_match_the_bisection_reference():
+    # the polynomials of the Sturm-count test.  Each search returns a root
+    # within Wilkinson's first-order bound gamma_2n sum |a_i| |x|^i / |p'(x)|
+    # of the exact one, so the two lie within twice that of each other; the
+    # 4 ulp allow for the bound's own rounding
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        coeffs = rng.uniform(-10.0, 10.0, size=rng.integers(3, 10)).tolist()
+        p = Polynomial(tuple(coeffs))
+        bound = p.cauchy_root_bound() + 1.0
+        found = [r.location for r in real_roots(p, (-bound, bound))]
+        chain = [p]
+        while chain[-1].degree >= 1:
+            chain.append(chain[-1].derivative())
+        reference = _reference_zeros(chain, 0, -bound, bound)
+        assert len(found) == len(reference)
+        n = p.degree
+        gamma = 2 * n * 2.0 ** -53 / (1.0 - 2 * n * 2.0 ** -53)
+        magnitude = Polynomial(tuple(abs(c) for c in coeffs))
+        for x, ref in zip(found, reference):
+            tol = (2.0 * gamma * magnitude(abs(ref)) / abs(chain[1](ref))
+                   + 4.0 * math.ulp(ref))
+            assert abs(x - ref) <= tol
 
 
 def test_rounded_quadruple_root_is_not_guessed_back():
