@@ -22,7 +22,6 @@ import numpy as np
 from .symmetry import PointConfig, SSBVerdict, classify_ssb, sign_flip_group
 
 _CLASSIFY_TOL = 1e-9
-_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -175,21 +174,22 @@ def _root(p: Polynomial, dp: Polynomial, lo: float, hi: float,
     p(hi) differ in sign: Newton's method kept inside the bracket (rtsafe,
     Press et al., Numerical Recipes, 9.4).
 
-    Each step evaluates p and p' at one point strictly inside the bracket,
-    the Newton iterate when it lands there and the midpoint otherwise, and
-    shrinks the bracket to the side where p changes sign.  The loop stops
-    at an exact zero, at a Newton iterate it has evaluated before, when the
-    midpoint is an end of the bracket, or after 200 steps, and returns the
-    evaluated point with the smallest |p|.  Every rule mirrors exactly
-    under x -> -x.
+    Each step evaluates p and p' at one point strictly inside the bracket
+    and shrinks the bracket to the side where p changes sign.  The point is
+    the Newton iterate when it lands inside the bracket and moves at most
+    half as far as the step before last, and the midpoint otherwise, so a
+    Newton step that converges slowly, as far from a root of a high degree,
+    gives way to bisection.  The loop stops at an exact zero, at a point
+    the Newton step leaves unchanged, when the midpoint is an end of the
+    bracket, or after 200 steps, and returns the evaluated point with the
+    smallest |p|.  Every rule mirrors exactly under x -> -x.
     """
     x = 0.5 * (lo + hi)
     best_x, best_val = x, math.inf
-    seen = set()
+    dx = dx_old = hi - lo
     for _ in range(200):
         if x == lo or x == hi:  # only a midpoint can be an end
             break
-        seen.add(x)
         fx = p(x)
         if abs(fx) < best_val:
             best_x, best_val = x, abs(fx)
@@ -200,10 +200,14 @@ def _root(p: Polynomial, dp: Polynomial, lo: float, hi: float,
         else:
             hi = x
         d = dp(x)
-        step = x - fx / d if d != 0.0 else math.nan  # NaN: bisect
-        if step in seen:
+        step = fx / d if d != 0.0 else math.nan  # NaN: bisect
+        if x - step == x:  # a Newton fixed point: converged
             break
-        x = step if lo < step < hi else 0.5 * (lo + hi)
+        dx_old, dx = dx, step
+        if lo < x - step < hi and abs(step) <= 0.5 * abs(dx_old):
+            x -= step
+        else:
+            dx, x = 0.5 * (hi - lo), 0.5 * (lo + hi)
     return best_x
 
 
@@ -214,22 +218,11 @@ def _check_bracket(lo: float, hi: float) -> None:
         raise ValueError(f"empty bracket ({lo}, {hi})")
 
 
-def _split_value(p: Polynomial, x: float) -> float:
-    """p(x) with its sign exact.  Where the float value lies within Horner's
-    a-priori error bound gamma_2n * sum |a_i| |x|^i of zero (Higham 2002,
-    5.1), rounding may have flipped its sign, so the sign is computed in
-    integers from p's coefficients and x, and returned as -1.0, 0.0 or 1.0.
-    """
-    v = p(x)
-    n, ax, mag = p.degree, abs(x), 0.0
-    for c in reversed(p.coefficients):
-        mag = mag * ax + abs(c)
-    gamma = 2 * n * _UNIT_ROUNDOFF / (1.0 - 2 * n * _UNIT_ROUNDOFF)
-    if abs(v) > gamma * mag:
-        return v
-    f, _ = _integer_coefficients(p)
+def _sign(f: list[int], x: float) -> float:
+    """The sign of the polynomial with integer coefficients f at x, exact
+    (Horner in x's numerator), as -1.0, 0.0 or 1.0."""
     num, den = x.as_integer_ratio()
-    acc, scale = f[-1], 1  # sum f_i num^i den^(n - i), Horner in num
+    acc, scale = f[-1], 1  # sum f_i num^i den^(n - i)
     for c in reversed(f[:-1]):
         scale *= den
         acc = acc * num + c * scale
@@ -247,7 +240,8 @@ def _zeros(chain: list[Polynomial], k: int, lo: float,
     crit = _zeros(chain, k + 1, lo, hi) if dp.degree >= 1 else []
     inner = [x for x in crit if lo < x < hi]
     ends = [lo, *inner, hi]
-    vals = [p(lo), *(_split_value(p, x) for x in inner), p(hi)]
+    f, _ = _integer_coefficients(p)
+    vals = [p(lo), *(_sign(f, x) for x in inner), p(hi)]
     zeros = {x for x, v in zip(ends, vals) if v == 0.0}
     for a, b, fa, fb in zip(ends, ends[1:], vals, vals[1:]):
         if fa != 0.0 and fb != 0.0 and (fa < 0.0) != (fb < 0.0):

@@ -246,7 +246,8 @@ def test_even_polynomial_roots_recovered(radii, zero):
 
 def test_newton_iterates_that_cycle_stop_at_the_repeat(monkeypatch):
     # next to sqrt(2) the Newton iterates of x^2 - 2 cycle between two
-    # neighbouring floats; the search stops at the first repeat
+    # neighbouring floats; they are the bracket, so the search stops at the
+    # first repeat
     p = Polynomial((-2.0, 0.0, 1.0))
     points = []
     horner = Polynomial.__call__
@@ -310,11 +311,11 @@ def test_one_search_builds_each_derivative_once(p, in_roots, in_critical,
 
 # evaluations of Polynomial.__call__ per real_roots:
 #                bisection + Newton polish   bracketed Newton
-# square                   123                      28
-# double_well              129                      31
+# square                   123                      27
+# double_well              129                      30
 # cube                      57                       5
-# even_octic              1085                     329
-# dense_octic              625                     250
+# even_octic              1085                     286
+# dense_octic              625                     192
 @pytest.mark.parametrize("name,bisected", [
     ("square", 123), ("double_well", 129), ("cube", 57),
     ("even_octic", 1085), ("dense_octic", 625),
@@ -482,29 +483,51 @@ def _reference_zeros(chain, k, lo, hi):
     return sorted(zeros)
 
 
+def _assert_matches_the_reference(coeffs, lo, hi):
+    # each search returns a root within Wilkinson's first-order bound
+    # gamma_2n sum |a_i| |x|^i / |p'(x)| of the exact one, so the two lie
+    # within twice that of each other; the 4 ulp allow for the bound's own
+    # rounding
+    p = Polynomial(tuple(coeffs))
+    found = [r.location for r in real_roots(p, (lo, hi))]
+    chain = [p]
+    while chain[-1].degree >= 1:
+        chain.append(chain[-1].derivative())
+    reference = _reference_zeros(chain, 0, lo, hi)
+    assert len(found) == len(reference)
+    n = p.degree
+    gamma = 2 * n * 2.0 ** -53 / (1.0 - 2 * n * 2.0 ** -53)
+    magnitude = Polynomial(tuple(abs(c) for c in coeffs))
+    for x, ref in zip(found, reference):
+        tol = (2.0 * gamma * magnitude(abs(ref)) / abs(chain[1](ref))
+               + 4.0 * math.ulp(ref))
+        assert abs(x - ref) <= tol
+
+
 def test_roots_match_the_bisection_reference():
-    # the polynomials of the Sturm-count test.  Each search returns a root
-    # within Wilkinson's first-order bound gamma_2n sum |a_i| |x|^i / |p'(x)|
-    # of the exact one, so the two lie within twice that of each other; the
-    # 4 ulp allow for the bound's own rounding
+    # the polynomials of the Sturm-count test
     rng = np.random.default_rng(17)
     for _ in range(300):
         coeffs = rng.uniform(-10.0, 10.0, size=rng.integers(3, 10)).tolist()
-        p = Polynomial(tuple(coeffs))
-        bound = p.cauchy_root_bound() + 1.0
-        found = [r.location for r in real_roots(p, (-bound, bound))]
-        chain = [p]
-        while chain[-1].degree >= 1:
-            chain.append(chain[-1].derivative())
-        reference = _reference_zeros(chain, 0, -bound, bound)
-        assert len(found) == len(reference)
-        n = p.degree
-        gamma = 2 * n * 2.0 ** -53 / (1.0 - 2 * n * 2.0 ** -53)
-        magnitude = Polynomial(tuple(abs(c) for c in coeffs))
-        for x, ref in zip(found, reference):
-            tol = (2.0 * gamma * magnitude(abs(ref)) / abs(chain[1](ref))
-                   + 4.0 * math.ulp(ref))
-            assert abs(x - ref) <= tol
+        bound = Polynomial(tuple(coeffs)).cauchy_root_bound() + 1.0
+        _assert_matches_the_reference(coeffs, -bound, bound)
+
+
+@pytest.mark.parametrize("coeffs,bracket", [
+    # roots near -719.8 and 1 in the Cauchy bracket +-(1e20 + 2)
+    ([-1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1e-20], None),
+    # roots +-3.16e-13 in (-2, 2)
+    ([-1e-100, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0], (-2.0, 2.0)),
+], ids=["far_bracket", "tiny_roots"])
+def test_slow_newton_steps_give_way_to_bisection(coeffs, bracket):
+    # far from every root p is about a_8 x^8, and each Newton step only
+    # scales the distance to the root by 7/8: without the bisection taken
+    # when a step is not at most half the step before last, 200 steps end
+    # far from the root
+    if bracket is None:
+        bound = Polynomial(tuple(coeffs)).cauchy_root_bound() + 1.0
+        bracket = (-bound, bound)
+    _assert_matches_the_reference(coeffs, *bracket)
 
 
 def test_rounded_quadruple_root_is_not_guessed_back():
