@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass
 from enum import Enum
 
@@ -168,21 +169,44 @@ def _square_free(p: Polynomial) -> list[tuple[int, Polynomial]]:
     return factors
 
 
+def _midpoint(lo: float, hi: float) -> float:
+    """The point that halves the bracket (lo, hi): 0 when it straddles 0,
+    the arithmetic midpoint within one binade, and otherwise the midpoint
+    of the ends' bit patterns, which halves the floats between them however
+    many binades they span.  It mirrors exactly under x -> -x."""
+    if lo < 0.0 < hi:
+        return 0.0
+    if hi <= 0.0:
+        return -_midpoint(-hi, -lo)
+    # lo >= 0 here; adding 0.0 reads -0.0, whose sign bit is set, as 0.0
+    a, b = struct.unpack("<2q", struct.pack("<2d", lo + 0.0, hi))
+    if a >> 52 == b >> 52:
+        return 0.5 * (lo + hi)
+    return struct.unpack("<d", struct.pack("<q", (a + b) // 2))[0]
+
+
 def _root(p: Polynomial, dp: Polynomial, lo: float, hi: float,
           flo: float) -> float:
     """The root of p in (lo, hi), where p is monotone and p(lo) = flo and
     p(hi) differ in sign: Newton's method kept inside the bracket (rtsafe,
     Press et al., Numerical Recipes, 9.4).
 
-    Each step evaluates p and p' at one point strictly inside the bracket
-    and shrinks the bracket to the side where p changes sign.  The point is
-    the Newton iterate when it lands inside the bracket and moves at most
-    half as far as the step before last, and the midpoint otherwise, so a
-    Newton step that converges slowly, as far from a root of a high degree,
-    gives way to bisection.  The loop stops at an exact zero, at a point
-    the Newton step leaves unchanged, when the midpoint is an end of the
-    bracket, or after 200 steps, and returns the evaluated point with the
-    smallest |p|.  Every rule mirrors exactly under x -> -x.
+    It starts at the arithmetic midpoint.  Each step evaluates p and p' at
+    one point strictly inside the bracket and shrinks the bracket to the
+    side where p changes sign.  The next point is the Newton iterate when it
+    lands inside the bracket and moves less than half as far as the step
+    before it, and the bracket's _midpoint otherwise, so a Newton step that
+    converges slowly, as far from a root of a high degree or as one that
+    only halves x on the way to a root near 0, gives way to bisection.  The
+    loop stops at an exact zero, at a point the Newton step leaves
+    unchanged, when the midpoint is an end of the bracket, or after 200
+    steps, and returns the evaluated point with the smallest |p|.  Every
+    rule mirrors exactly under x -> -x.
+
+    Bisection alone ends within 65 steps: the start, one step to 0 if the
+    bracket still straddles it, then each halves the count of floats
+    between the ends, which is below 2^63 for ends of one sign.  No bound
+    is proven for the Newton steps in between, so the loop keeps its cap.
     """
     x = 0.5 * (lo + hi)
     best_x, best_val = x, math.inf
@@ -204,10 +228,10 @@ def _root(p: Polynomial, dp: Polynomial, lo: float, hi: float,
         if x - step == x:  # a Newton fixed point: converged
             break
         dx_old, dx = dx, step
-        if lo < x - step < hi and abs(step) <= 0.5 * abs(dx_old):
+        if lo < x - step < hi and abs(step) < 0.5 * abs(dx_old):
             x -= step
         else:
-            dx, x = 0.5 * (hi - lo), 0.5 * (lo + hi)
+            dx, x = 0.5 * (hi - lo), _midpoint(lo, hi)
     return best_x
 
 
@@ -291,7 +315,9 @@ def critical_points(p: Polynomial) -> list[CriticalPoint]:
         raise ValueError("need degree >= 2 for meaningful critical points")
     chain = _derivative_chain([p])
     bound = chain[1].cauchy_root_bound() + 1.0
-    _check_bracket(-bound, bound)
+    if bound == math.inf:
+        raise ValueError(f"the root bound of p' overflows: the coefficients "
+                         f"of p' are {list(chain[1].coefficients)}")
     out: list[CriticalPoint] = []
     for root in _roots(chain[1:], -bound, bound):
         x, m = root.location, root.multiplicity

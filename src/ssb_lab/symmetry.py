@@ -1,18 +1,16 @@
 """Finite symmetry groups of orthogonal matrices and what they do to solutions.
 
-Group elements are explicit n x n orthogonal matrices acting linearly about
-the origin.  Configurations meant to be analysed for symmetry should therefore
-be positioned with their symmetry center at the origin, as the square of
+A group is one read-only (|G|, n, n) stack of orthogonal matrices, validated
+once when the group is built, that act linearly about the origin.
+Configurations meant to be analysed for symmetry should therefore be
+positioned with their symmetry center at the origin, as the square of
 ``steiner.square_terminals`` is.  Equality of group elements is max-norm
 matrix distance below a tolerance; invariance of a point configuration is a
 greedy nearest-neighbour matching that is then verified to be a bijection
-and, if edges are present, to permute the edge set.
-
-A stabilizer applies the whole group at once: the element matrices are
-stacked as one (|G|, n, n) array, the images of an (m, n) configuration are
-one batched product, and one matcher compares all of them with the
-configuration in a single (|G|, m, m) distance tensor, so memory is
-O(|G| m^2 n).  Orbits compare images pairwise through the same matcher.
+and, if edges are present, to permute the edge set.  A stabilizer matches
+all |G| images of an (m, n) configuration, one batched product, in a single
+(|G|, m, m) distance tensor (memory O(|G| m^2 n)); an orbit compares them
+pairwise.
 
 The classification at the bottom turns a problem group and a list of solution
 configurations into a verdict: unbroken symmetry (every solution keeps the
@@ -23,7 +21,6 @@ solution exists), or narrow breaking (no solution retains the full group).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -41,8 +38,35 @@ _ASSOCIATIVITY_MAX_ORDER = 16
 
 
 # ---------------------------------------------------------------------------
-# transforms
+# transforms and groups
 # ---------------------------------------------------------------------------
+
+def _check_orthogonal(m: np.ndarray) -> np.ndarray:
+    """Return the (K, n, n) stack m if its matrices are finite and orthogonal
+    with determinant +-1, else raise ValueError about one that is not."""
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise ValueError(f"matrix must be square, got shape {m.shape[1:]}")
+    if m.shape[1] == 0:
+        raise ValueError("matrix must be at least 1x1")
+    finite = np.isfinite(m).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"matrix entries must be finite, "
+                         f"got {m[finite.argmin()].tolist()}")
+    # a column of squared norm within ORTHO_TOL of 1 has no entry above
+    # 1 + ORTHO_TOL; larger ones are rejected before they overflow the product
+    big = np.abs(m).max(axis=(1, 2))
+    if big.max() > 1.0 + ORTHO_TOL:
+        raise ValueError(f"matrix is not orthogonal (an entry is above 1 "
+                         f"in magnitude): {m[big.argmax()].tolist()}")
+    defect = np.abs(m.transpose(0, 2, 1) @ m - np.eye(m.shape[1])).max()
+    if not defect <= ORTHO_TOL:
+        raise ValueError(f"matrix is not orthogonal (defect {defect:.3e})")
+    det = np.linalg.det(m)
+    det = float(det[np.abs(np.abs(det) - 1.0).argmax()])
+    if abs(abs(det) - 1.0) > ORTHO_TOL:
+        raise ValueError(f"determinant must be +-1, got {det!r}")
+    return m
+
 
 @dataclass(frozen=True)
 class OrthoTransform:
@@ -53,26 +77,7 @@ class OrthoTransform:
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {m.shape}")
-        n = m.shape[0]
-        if n == 0:
-            raise ValueError("matrix must be at least 1x1")
-        if not all(map(math.isfinite, m.flat)):
-            raise ValueError(f"matrix entries must be finite, "
-                             f"got {m.tolist()}")
-        # a column of squared norm within ORTHO_TOL of 1 has no entry above
-        # 1 + ORTHO_TOL; larger ones are rejected before the product, which
-        # could overflow on them
-        if any(abs(x) > 1.0 + ORTHO_TOL for x in m.flat):
-            raise ValueError(f"matrix is not orthogonal (an entry is above 1 "
-                             f"in magnitude): {m.tolist()}")
-        defect = np.max(np.abs(m.T @ m - np.eye(n)))
-        if not defect <= ORTHO_TOL:
-            raise ValueError(f"matrix is not orthogonal (defect {defect:.3e})")
-        det = float(np.linalg.det(m))
-        if abs(abs(det) - 1.0) > ORTHO_TOL:
-            raise ValueError(f"determinant must be +-1, got {det!r}")
+        _check_orthogonal(m[None])
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -82,16 +87,7 @@ class OrthoTransform:
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Apply the transform to an (m, n) array of row points."""
-        pts = np.asarray(points, dtype=float)
-        return pts @ self.matrix.T
-
-    def __repr__(self) -> str:  # labels keep group dumps readable
-        name = self.label if self.label is not None else "?"
-        return f"OrthoTransform({name}, dim={self.dim})"
-
-
-def identity_transform(n_dim: int) -> OrthoTransform:
-    return OrthoTransform(np.eye(n_dim), label="e")
+        return np.asarray(points, dtype=float) @ self.matrix.T
 
 
 def rotation2d(theta: float, label: str | None = None) -> OrthoTransform:
@@ -106,52 +102,56 @@ def reflection2d(axis_theta: float, label: str | None = None) -> OrthoTransform:
     return OrthoTransform(np.array([[c, s], [s, -c]]), label=label)
 
 
-def same_transform(a: OrthoTransform, b: OrthoTransform,
-                   tol: float = MATCH_TOL) -> bool:
-    if a.dim != b.dim:
-        return False
-    return float(np.max(np.abs(a.matrix - b.matrix))) <= tol
-
-
-# ---------------------------------------------------------------------------
-# groups
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class FiniteGroup:
-    """A finite set of orthogonal transforms, expected to form a group.
+    """A finite set of orthogonal transforms, expected to form a group: the
+    read-only (|G|, n, n) stack ``matrices`` and one label per element.  The
+    axioms are checked separately by :func:`verify_group_axioms`, so that
+    deliberately broken element sets can be built and diagnosed."""
 
-    Construction only normalizes the element tuple; whether the set actually
-    satisfies the group axioms is checked separately by
-    :func:`verify_group_axioms`, so that deliberately broken element sets can
-    be built and diagnosed in tests.
-    """
+    matrices: np.ndarray
+    labels: tuple[str | None, ...]
 
-    elements: tuple[OrthoTransform, ...]
-
-    def __post_init__(self) -> None:
-        elems = tuple(self.elements)
-        if not elems:
-            raise ValueError("a group needs at least one element")
+    def __init__(self, elements: tuple[OrthoTransform, ...]) -> None:
+        elems = tuple(elements)
         dims = {t.dim for t in elems}
-        if len(dims) != 1:
+        if len(dims) > 1:
             raise ValueError(f"mixed element dimensions: {sorted(dims)}")
-        object.__setattr__(self, "elements", elems)
+        # each transform has validated its own matrix
+        _group(np.array([t.matrix for t in elems]),
+               tuple(t.label for t in elems), self)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.labels)
 
     @property
     def dim(self) -> int:
-        return self.elements[0].dim
+        return self.matrices.shape[1]
+
+    @property
+    def elements(self) -> tuple[OrthoTransform, ...]:
+        """The elements as transforms, built from the stack on each access."""
+        return tuple(map(OrthoTransform, self.matrices, self.labels))
 
     def find(self, t: OrthoTransform, tol: float = MATCH_TOL) -> int | None:
-        """Index of the element matching ``t`` within ``tol``, else None."""
-        for i, e in enumerate(self.elements):
-            if same_transform(e, t, tol):
-                return i
-        return None
+        """Index of the first element within ``tol`` of ``t``, else None."""
+        if t.dim != self.dim:
+            return None
+        close = np.abs(self.matrices - t.matrix).max(axis=(1, 2)) <= tol
+        return int(close.argmax()) if close.any() else None
+
+
+def _group(matrices: np.ndarray, labels: tuple,
+           g: FiniteGroup | None = None) -> FiniteGroup:
+    """The group (g, if given) of a stack of matrices validated already."""
+    if not labels:
+        raise ValueError("a group needs at least one element")
+    matrices.flags.writeable = False
+    g = object.__new__(FiniteGroup) if g is None else g
+    object.__setattr__(g, "matrices", matrices)
+    object.__setattr__(g, "labels", labels)
+    return g
 
 
 @dataclass(frozen=True)
@@ -168,64 +168,58 @@ class GroupCheck:
 def verify_group_axioms(g: FiniteGroup, tol: float = MATCH_TOL) -> GroupCheck:
     """Check identity, closure, inverses and (for small groups) associativity.
 
-    Closure and inverse checks match products against the element list at
-    max-norm tolerance ``tol``.  Associativity of matrix products holds up to
-    rounding, so it is only re-checked exhaustively (all triples) for groups
-    of order <= 16 where that is cheap.
+    Closure and inverse checks match products against the element stack at
+    max-norm tolerance ``tol``, one left factor at a time (memory O(|G|^2
+    n^2)).  Associativity of matrix products holds up to rounding, so it is
+    only re-checked (all triples) for groups of order <= 16, where it is cheap.
     """
+    mats, eye = g.matrices, np.eye(g.dim)
+    prods = mats[:, None] @ mats  # prods[i, j] = mats[i] @ mats[j]
     violations: list[str] = []
-    eye = identity_transform(g.dim)
-    if g.find(eye, tol) is None:
+    if not (np.abs(mats - eye).max(axis=(1, 2)) <= tol).any():
         violations.append("identity: no element matches the identity matrix")
-
-    mats = [t.matrix for t in g.elements]
-    for i, j in itertools.product(range(g.order), repeat=2):
-        prod = mats[i] @ mats[j]
-        if not any(np.max(np.abs(prod - m)) <= tol for m in mats):
-            violations.append(f"closure: product of elements {i} and {j} "
-                              "is not in the group")
-
-    for i, m in enumerate(mats):
-        if not any(np.max(np.abs(m @ m2 - np.eye(g.dim))) <= tol for m2 in mats):
-            violations.append(f"inverses: element {i} has no inverse "
-                              "in the group")
-
-    if g.order <= _ASSOCIATIVITY_MAX_ORDER:
-        for a, b, c in itertools.product(mats, repeat=3):
-            if not np.max(np.abs((a @ b) @ c - a @ (b @ c))) <= tol:
-                violations.append("associativity: a triple product differs "
-                                  "between bracketings")
-                break
-
+    for i, row in enumerate(prods):
+        closed = (np.abs(row[:, None] - mats).max(axis=(2, 3)) <= tol).any(1)
+        violations += [f"closure: product of elements {i} and {j} "
+                       "is not in the group" for j in np.flatnonzero(~closed)]
+    inverse = (np.abs(prods - eye).max(axis=(2, 3)) <= tol).any(axis=1)
+    violations += [f"inverses: element {i} has no inverse in the group"
+                   for i in np.flatnonzero(~inverse)]
+    if g.order <= _ASSOCIATIVITY_MAX_ORDER and not all(
+            (np.abs(row[:, None] @ mats - a @ prods).max(axis=(2, 3))
+             <= tol).all() for a, row in zip(mats, prods)):
+        violations.append("associativity: a triple product differs "
+                          "between bracketings")
     return GroupCheck(ok=not violations, violations=tuple(violations))
 
 
 def dihedral_group(k: int) -> FiniteGroup:
-    """Rotations by multiples of 2*pi/k plus k reflections (order 2k)."""
-    rotations = cyclic_group(k).elements
-    return FiniteGroup(rotations + tuple(
-        reflection2d(np.pi * j / k, label=f"m{180.0 * j / k:g}")
-        for j in range(k)))
+    """Rotations by multiples of 2*pi/k plus k reflections (order 2k): the
+    matrices of rotation2d(2*pi*j/k) and reflection2d(pi*j/k), bit for bit,
+    as twice pi*j/k rounds to 2*pi*j/k exactly."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    labels = tuple([f"r{360.0 * j / k:g}" for j in range(k)]
+                   + [f"m{180.0 * j / k:g}" for j in range(k)])
+    theta = 2.0 * np.pi * np.arange(k) / k
+    c, s = np.cos(theta), np.sin(theta)
+    # the entries of each matrix row by row, rotations first: (2, 4, k)
+    mats = np.array([[c, -s, s, c], [c, s, s, -c]]).transpose(0, 2, 1)
+    return _group(_check_orthogonal(mats.reshape(-1, 2, 2)), labels)
 
 
 def cyclic_group(k: int) -> FiniteGroup:
-    """Rotations by multiples of 2*pi/k (order k)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    elements = [rotation2d(2.0 * np.pi * j / k, label=f"r{360.0 * j / k:g}")
-                for j in range(k)]
-    return FiniteGroup(tuple(elements))
+    """Rotations by multiples of 2*pi/k (order k), those of D_k."""
+    d = dihedral_group(k)
+    return _group(d.matrices[:k], d.labels[:k])
 
 
 @functools.cache
 def sign_flip_group() -> FiniteGroup:
-    """The two-element group {+1, -1} acting on the real line, built once;
-    the group is frozen and its matrices are read-only, so every caller can
-    share it."""
-    return FiniteGroup((
-        OrthoTransform(np.array([[1.0]]), label="e"),
-        OrthoTransform(np.array([[-1.0]]), label="flip"),
-    ))
+    """The two-element group {+1, -1} acting on the real line, built once:
+    it is frozen and its matrices are read-only, so every caller shares it."""
+    return _group(_check_orthogonal(np.array([[[1.0]], [[-1.0]]])),
+                  ("e", "flip"))
 
 
 # ---------------------------------------------------------------------------
@@ -353,23 +347,27 @@ def stabilizer(g: FiniteGroup, c: PointConfig,
     """The subgroup of elements leaving the configuration invariant.
 
     The images under all elements are matched to the config at once, in one
-    (|G|, m, m) distance tensor, so memory is O(|G| m^2 n).
+    (|G|, m, m) distance tensor, so memory is O(|G| m^2 n).  The subgroup
+    is the matching rows of the group's stack, which are not checked again.
     """
+    # a NaN or negative tol would match no element, not even the identity
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be a non-negative number, got {tol!r}")
     _check_dims(g.dim, c)
-    mats = np.stack([t.matrix for t in g.elements])
     # image k is bit-identical to g.elements[k].apply(c.points)
-    images = c.points @ mats.transpose(0, 2, 1)
+    images = c.points @ g.matrices.transpose(0, 2, 1)
     kept = _match_points(images, c.points, c.edges, c.edges, tol)
-    return FiniteGroup(tuple(g.elements[k] for k in kept))
+    return _group(g.matrices[kept], tuple(g.labels[k] for k in kept))
 
 
 def orbit(g: FiniteGroup, c: PointConfig,
           tol: float = MATCH_TOL) -> list[PointConfig]:
     """Deduplicated images of the configuration under every group element,
     each compared with the images kept so far by ``config_equal``."""
+    _check_dims(g.dim, c)
     images: list[PointConfig] = []
-    for t in g.elements:
-        image = transform_config(t, c)
+    for points in c.points @ g.matrices.transpose(0, 2, 1):
+        image = PointConfig(points, c.edges)
         if not any(config_equal(image, seen, tol) for seen in images):
             images.append(image)
     return images

@@ -9,6 +9,7 @@ so the scan covers odd roots only; the even ones have exact closed forms.
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from ssb_lab.scalar import (DOUBLE_WELL, SQUARE_POLY, CriticalKind,
                             Polynomial, PolyRoot, SignFlipProblem,
-                            critical_points, real_roots,
+                            _midpoint, critical_points, real_roots,
                             z2_solve, z2_solutions, z2_verdict)
 from ssb_lab.symmetry import SSBKind
 
@@ -414,6 +415,86 @@ def test_distinct_root_count_equals_the_exact_sturm_count():
         p = Polynomial(tuple(coeffs))
         bound = p.cauchy_root_bound() + 1.0
         assert len(real_roots(p, (-bound, bound))) == _sturm_count(coeffs)
+
+
+@st.composite
+def _wide_coefficients(draw):
+    """3 to 10 coefficients m * 10^e of either sign, with 1 <= m < 10 and
+    decimal exponents e from -30 to 30."""
+    return [draw(st.sampled_from([-1.0, 1.0]))
+            * draw(st.floats(1.0, 10.0, exclude_max=True))
+            * 10.0 ** draw(st.integers(-30, 30))
+            for _ in range(draw(st.integers(3, 10)))]
+
+
+# coefficients of such different sizes give brackets of 10^40 and more: a
+# root or split point near 0 is 10^40 times smaller than the bracket, past
+# the reach of 200 arithmetic halvings, and a misplaced split point lost
+# the roots on its sides
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_wide_coefficients(), st.none())
+@example([0.0, 4.0042955499057695e-222, 1.0], (-3.0, 3.0))
+@example([-1.2826325445037597e-10, 11321.774900703911,
+          -2.9547254679235374e+27, 1.5091536397151335e+26,
+          -2.714929463715223e-26, -1.5805905301260298e+21,
+          -1.1733276575518402e-20], None)
+def test_wide_coefficients_keep_the_exact_sturm_count(coeffs, bracket):
+    p = Polynomial(tuple(coeffs))
+    if bracket is None:
+        bound = p.cauchy_root_bound() + 1.0
+        bracket = (-bound, bound)
+    assert len(real_roots(p, bracket)) == _sturm_count(coeffs)
+
+
+@pytest.mark.parametrize("eps", [1e-50, 1e-100, 1e-150])
+def test_newton_steps_that_only_halve_x_give_way_to_bisection(eps):
+    # far above the roots -eps and 0 of x^2 + eps x each Newton step halves
+    # x, exactly half the step before it; taken, they ended 200 steps later
+    # far from the root near 0
+    p = Polynomial((0.0, eps, 1.0))
+    assert [r.location for r in real_roots(p, (-3.0, 3.0))] == [-eps, 0.0]
+
+
+def test_root_far_smaller_than_its_bracket_is_reached():
+    # the roots -4.0e-222 and 0 of x^2 + 4.0e-222 x in (-3, 3): 200
+    # arithmetic halvings of 3 end near 1e-60; bisecting on bit patterns
+    # reaches 0, and the other root where p rounds to 0
+    p = Polynomial((0.0, 4.0042955499057695e-222, 1.0))
+    low, zero = [r.location for r in real_roots(p, (-3.0, 3.0))]
+    assert zero == 0.0
+    assert -1e-150 < low < 0.0 and p(low) == 0.0
+
+
+@pytest.mark.parametrize("lo,hi,mid", [
+    (-3.0, 3.0, 0.0),
+    (-1e-300, 2.0, 0.0),
+    (1.0, 1.5, 1.25),                    # one binade: the arithmetic midpoint
+    (1.0, 2.0, 1.5),
+    (0.0, 4.0, 1.5 * 2.0 ** -511),       # bit patterns 0 and 0x4010...
+    (-0.0, 4.0, 1.5 * 2.0 ** -511),      # -0.0 is read as 0.0
+    (-4.0, -0.0, -1.5 * 2.0 ** -511),
+    (5e-324, 1e-323, 1e-323),            # adjacent floats: an end
+])
+def test_midpoint_of_the_bracket(lo, hi, mid):
+    assert _midpoint(lo, hi) == mid
+    assert _midpoint(-hi, -lo) == -mid
+
+
+@pytest.mark.parametrize("lo,hi", [(1e-300, 1.0), (5e-324, 1e300),
+                                   (0.5, 3.0), (0.0, 1e-310)])
+def test_midpoint_halves_the_floats_of_the_bracket(lo, hi):
+    def index(x):  # the position of x >= 0 among the floats
+        return struct.unpack("<q", struct.pack("<d", x))[0]
+    mid = _midpoint(lo, hi)
+    assert abs((index(mid) - index(lo)) - (index(hi) - index(mid))) <= 1
+
+
+def test_critical_points_name_an_overflowing_root_bound():
+    # p' = 1 + 1e-323 x has a root bound of 1e323, beyond the floats
+    with pytest.raises(ValueError, match=r"the root bound of p' overflows: "
+                                         r"the coefficients of p' are "
+                                         r"\[1\.0, 1e-323\]"):
+        critical_points(Polynomial((1.0, 1.0, 5e-324)))
 
 
 def test_close_pair_next_to_a_critical_point_keeps_both_roots():

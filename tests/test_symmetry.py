@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import itertools
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -13,8 +16,7 @@ from hypothesis import strategies as st
 from ssb_lab.symmetry import (MATCH_TOL, FiniteGroup, OrthoTransform,
                               PointConfig, SSBKind, classify_ssb,
                               config_equal, cyclic_group, dihedral_group,
-                              identity_transform, is_invariant, orbit,
-                              reflection2d, rotation2d, same_transform,
+                              is_invariant, orbit, reflection2d, rotation2d,
                               sign_flip_group, stabilizer, transform_config,
                               verify_group_axioms)
 
@@ -53,6 +55,31 @@ def test_non_square_matrix_rejected():
         OrthoTransform(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
 
 
+# one validation of a (K, n, n) stack serves transforms and groups; on a
+# single matrix it says what the per-matrix checks said
+@pytest.mark.parametrize("matrix,message", [
+    (np.ones(3), "matrix must be square, got shape (3,)"),
+    (np.array(5.0), "matrix must be square, got shape ()"),
+    (np.zeros((2, 2, 2)), "matrix must be square, got shape (2, 2, 2)"),
+    (np.zeros((0, 0)), "matrix must be at least 1x1"),
+    ([[math.nan, 0.0], [0.0, 1.0]],
+     "matrix entries must be finite, got [[nan, 0.0], [0.0, 1.0]]"),
+    ([[1.0, 0.0], [0.0, -math.inf]],
+     "matrix entries must be finite, got [[1.0, 0.0], [0.0, -inf]]"),
+    ([[1e200, 0.0], [0.0, 1.0]], "matrix is not orthogonal (an entry is "
+                                 "above 1 in magnitude): [[1e+200, 0.0], "
+                                 "[0.0, 1.0]]"),
+    ([[1.0, 1.0], [0.0, 1.0]], "matrix is not orthogonal (defect 1.000e+00)"),
+    ([[1.0, 1e-9], [0.0, 1.0]], "matrix is not orthogonal (defect 1.000e-09)"),
+    (np.eye(3) * (1.0 + 4e-13),
+     "determinant must be +-1, got 1.0000000000011997"),
+])
+def test_transform_validation_messages(matrix, message):
+    with pytest.raises(ValueError) as info:
+        OrthoTransform(matrix)
+    assert str(info.value) == message
+
+
 def test_transform_matrix_is_read_only():
     r = rotation2d(0.3)
     with pytest.raises(ValueError):
@@ -63,14 +90,15 @@ def test_transform_matrix_is_read_only():
 @given(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
 def test_rotations_compose_by_adding_angles(a, b):
     lhs = OrthoTransform(rotation2d(a).matrix @ rotation2d(b).matrix)
-    assert same_transform(lhs, rotation2d(a + b), tol=1e-9)
+    assert np.max(np.abs(lhs.matrix - rotation2d(a + b).matrix)) <= 1e-9
 
 
 def test_two_reflections_make_a_rotation():
     # mirrors at angles s and t compose to a rotation by 2(s - t)
     s, t = 0.7, 0.2
     got = OrthoTransform(reflection2d(s).matrix @ reflection2d(t).matrix)
-    assert same_transform(got, rotation2d(2.0 * (s - t)), tol=1e-12)
+    assert np.max(np.abs(got.matrix - rotation2d(2.0 * (s - t)).matrix)) \
+        <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +119,139 @@ def test_standard_groups_satisfy_axioms(group, order):
     assert group.order == order
     check = verify_group_axioms(group)
     assert check.ok, check.violations
+
+
+def _stacked(transforms):
+    """The matrices and labels of transforms, as a group holds them."""
+    return (np.array([t.matrix for t in transforms]).tobytes(),
+            tuple(t.label for t in transforms))
+
+
+def _same_elements(group, transforms):
+    """Whether the group holds exactly these matrices, bit for bit, with
+    these labels, in this order."""
+    return (group.matrices.tobytes(), group.labels) == _stacked(transforms)
+
+
+# dihedral_group and cyclic_group stack in one expression what rotation2d
+# and reflection2d build one matrix at a time
+@pytest.mark.parametrize("k", [*range(1, 41), 64, 100])
+def test_group_stacks_match_the_per_element_transforms(k):
+    rotations = [rotation2d(2.0 * np.pi * j / k, label=f"r{360.0 * j / k:g}")
+                 for j in range(k)]
+    mirrors = [reflection2d(np.pi * j / k, label=f"m{180.0 * j / k:g}")
+               for j in range(k)]
+    d, c = dihedral_group(k), cyclic_group(k)
+    assert (d.order, d.dim, c.order, c.dim) == (2 * k, 2, k, 2)
+    assert _same_elements(d, rotations + mirrors)
+    assert _same_elements(c, rotations)
+    assert d.matrices.shape == (2 * k, 2, 2)
+    assert not d.matrices.flags.writeable and not c.matrices.flags.writeable
+
+
+@pytest.mark.parametrize("k,error,message", [
+    (0, ValueError, "k must be >= 1, got 0"),
+    (-3, ValueError, "k must be >= 1, got -3"),
+    (2.5, TypeError, "'float' object cannot be interpreted as an integer"),
+    ("a", TypeError, "'<' not supported between instances of 'str' and 'int'"),
+    (None, TypeError,
+     "'<' not supported between instances of 'NoneType' and 'int'"),
+])
+@pytest.mark.parametrize("make_group", [dihedral_group, cyclic_group])
+def test_dihedral_and_cyclic_reject_bad_k(make_group, k, error, message):
+    with pytest.raises(error) as info:
+        make_group(k)
+    assert str(info.value) == message
+
+
+def test_true_builds_the_groups_of_order_one_and_two():
+    assert dihedral_group(True).labels == ("r0", "m0")
+    assert cyclic_group(True).labels == ("r0",)
+    assert dihedral_group(True).matrices.tolist() == \
+        [[[1.0, -0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]]]
+
+
+def test_group_of_transforms_stacks_their_matrices():
+    ts = (rotation2d(0.5, label="a"), reflection2d(0.2), rotation2d(0.0))
+    g = FiniteGroup(ts)
+    assert _same_elements(g, ts) and g.labels == ("a", None, None)
+    assert not g.matrices.flags.writeable
+    assert _same_elements(g, g.elements)
+    # find compares with the whole stack: the first match, or None
+    assert g.find(rotation2d(0.5 + 1e-11)) == 0
+    assert FiniteGroup(ts + ts).find(rotation2d(0.0)) == 2
+    assert g.find(OrthoTransform([[1.0]])) is None
+    assert g.find(rotation2d(0.5), math.nan) is None
+    with pytest.raises(ValueError, match="at least one element"):
+        FiniteGroup(())
+    with pytest.raises(ValueError, match=r"mixed element dimensions: \[1, 2\]"):
+        FiniteGroup((rotation2d(0.1), OrthoTransform([[1.0]])))
+
+
+def test_groups_copy_and_pickle():
+    g = dihedral_group(3)
+    for h in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert h.labels == g.labels
+        assert h.matrices.tobytes() == g.matrices.tobytes()
+
+
+def test_building_and_acting_constructs_no_transform(monkeypatch):
+    # a group is its stack: building one, its orbits, stabilizers and
+    # verdicts never build an OrthoTransform (each would check its matrix)
+    built = []
+    check = OrthoTransform.__post_init__
+    monkeypatch.setattr(OrthoTransform, "__post_init__",
+                        lambda t: built.append(check(t)))
+    g = dihedral_group(12)
+    c = PointConfig([[0.3, 0.1], [0.5, 0.0]])
+    classify_ssb(g, orbit(g, c))
+    classify_ssb(sign_flip_group(), [PointConfig([[1.0]])])
+    verify_group_axioms(cyclic_group(5))
+    assert built == []
+    rotation2d(0.1)
+    assert len(built) == 1
+
+
+def _reference_violations(g, tol=MATCH_TOL):
+    """verify_group_axioms as it was written before the group was a stack:
+    one pair or triple of elements at a time."""
+    violations = []
+    mats = [t.matrix for t in g.elements]
+    eye = np.eye(g.dim)
+    if not any(np.max(np.abs(m - eye)) <= tol for m in mats):
+        violations.append("identity: no element matches the identity matrix")
+    for i, j in itertools.product(range(g.order), repeat=2):
+        prod = mats[i] @ mats[j]
+        if not any(np.max(np.abs(prod - m)) <= tol for m in mats):
+            violations.append(f"closure: product of elements {i} and {j} "
+                              "is not in the group")
+    for i, m in enumerate(mats):
+        if not any(np.max(np.abs(m @ m2 - eye)) <= tol for m2 in mats):
+            violations.append(f"inverses: element {i} has no inverse "
+                              "in the group")
+    if g.order <= 16:
+        for a, b, c in itertools.product(mats, repeat=3):
+            if not np.max(np.abs((a @ b) @ c - a @ (b @ c))) <= tol:
+                violations.append("associativity: a triple product differs "
+                                  "between bracketings")
+                break
+    return violations
+
+
+@pytest.mark.parametrize("group,tol", [
+    (FiniteGroup(dihedral_group(4).elements[:-1]), MATCH_TOL),
+    (FiniteGroup((sign_flip_group().elements[1],)), MATCH_TOL),
+    (FiniteGroup(dihedral_group(6).elements[3:9]), MATCH_TOL),
+    (FiniteGroup((rotation2d(0.1), rotation2d(0.2))), MATCH_TOL),
+    (FiniteGroup(dihedral_group(30).elements[1:]), MATCH_TOL),
+    (dihedral_group(4), math.nan),
+    (dihedral_group(5), 0.0),
+    (dihedral_group(9), MATCH_TOL),
+])
+def test_axiom_violations_match_the_pairwise_loop(group, tol):
+    check = verify_group_axioms(group, tol)
+    assert list(check.violations) == _reference_violations(group, tol)
+    assert check.ok == (not check.violations)
 
 
 def test_dropping_an_element_breaks_closure():
@@ -128,6 +289,9 @@ def test_sign_flip_group_is_one_dimensional():
 def test_sign_flip_group_is_built_once_and_read_only():
     z2 = sign_flip_group()
     assert sign_flip_group() is z2
+    assert not z2.matrices.flags.writeable
+    with pytest.raises(ValueError):
+        z2.matrices[0, 0, 0] = 2.0
     for t in z2.elements:
         assert not t.matrix.flags.writeable
         with pytest.raises(ValueError):
@@ -309,11 +473,12 @@ def test_orbit_stabilizer_product_is_group_order(group_and_config):
         assert got.edges == want.edges
     ref_stab = _reference_stabilizer(g, c)
     assert len(stab.elements) == len(ref_stab)
-    assert all(a is b for a, b in zip(stab.elements, ref_stab))
+    assert _same_elements(stab, ref_stab)
 
     verdict = classify_ssb(g, images)
     ref_witnesses = [_reference_stabilizer(g, image) for image in ref_images]
-    assert [list(w.elements) for w in verdict.witnesses] == ref_witnesses
+    assert [_stacked(w.elements) for w in verdict.witnesses] == \
+        [_stacked(w) for w in ref_witnesses]
     full = [len(w) == g.order for w in ref_witnesses]
     assert verdict.kind is (SSBKind.UNBROKEN if all(full) else
                             SSBKind.NARROW if not any(full) else
@@ -352,15 +517,37 @@ def test_nan_tolerance_matches_nothing():
     # it: a NaN tolerance matches no point and passes no axiom
     c = _square_config()
     assert not config_equal(c, c, math.nan)
-    assert not is_invariant(identity_transform(2), c, math.nan)
+    assert not is_invariant(OrthoTransform(np.eye(2)), c, math.nan)
     check = verify_group_axioms(dihedral_group(4), math.nan)
     assert {v.split(":")[0] for v in check.violations} \
         == {"identity", "closure", "inverses", "associativity"}
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-300])
+def test_stabilizer_and_classification_name_a_bad_tolerance(tol):
+    # they return a group, which a tolerance that matches nothing, not even
+    # the identity, could not give
+    c = _square_config()
+    message = r"tol must be a non-negative number, got (nan|-1\.0|-1e-300)"
+    with pytest.raises(ValueError, match=message):
+        stabilizer(dihedral_group(4), c, tol)
+    with pytest.raises(ValueError, match=message):
+        classify_ssb(dihedral_group(4), [c], tol)
+    for zero in (0.0, -0.0):  # an exact match is a match
+        assert "r0" in stabilizer(dihedral_group(4), c, zero).labels
+
+
+def test_stabilizer_takes_rows_of_its_group():
+    g = dihedral_group(4)
+    stab = stabilizer(g, PointConfig([[1.0, 0.0]]))
+    assert stab.labels == ("r0", "m0")
+    assert stab.matrices.tobytes() == g.matrices[[0, 4]].tobytes()
+    assert not stab.matrices.flags.writeable
+
+
 def test_is_invariant_dim_mismatch_raises():
     with pytest.raises(ValueError):
-        is_invariant(identity_transform(3), _square_config())
+        is_invariant(OrthoTransform(np.eye(3)), _square_config())
 
 
 # ---------------------------------------------------------------------------
