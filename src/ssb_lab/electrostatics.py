@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,19 @@ def unit_sphere_area(n: int) -> float:
     except OverflowError:  # from n = 344 on, Gamma(n / 2) is past 1.8e308
         raise ValueError(f"dimension {n} is too large: Gamma({n}/2) "
                          f"overflows") from None
+
+
+def _scaled_power(c: float, x: float, k: int, name: str) -> float:
+    """c * x**k for c, x > 0, or ValueError naming x when that is not a
+    normal float: each formula below divides or multiplies by one."""
+    try:
+        value = c * float(x) ** k
+    except OverflowError:
+        value = math.inf
+    if not sys.float_info.min <= value < math.inf:
+        raise ValueError(f"{name} = {x!r} is out of range: {c!r} * "
+                         f"{name}**{k} = {value!r} is not a normal float")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +120,7 @@ def potential(sol: PotentialSolution, r: float) -> float:
     if sol.n == 2:
         return -(sol.q / (2.0 * math.pi)) * math.log(r / sol.mu)
     area = unit_sphere_area(sol.n)
-    return sol.q / ((sol.n - 2) * area * r ** (sol.n - 2))
+    return sol.q / _scaled_power((sol.n - 2) * area, r, sol.n - 2, "r")
 
 
 def field_magnitude(sol: PotentialSolution, r: float) -> float:
@@ -116,7 +130,7 @@ def field_magnitude(sol: PotentialSolution, r: float) -> float:
     """
     if not r > 0:
         raise ValueError(f"r must be positive, got {r}")
-    return sol.q / (unit_sphere_area(sol.n) * r ** (sol.n - 1))
+    return sol.q / _scaled_power(unit_sphere_area(sol.n), r, sol.n - 1, "r")
 
 
 def field_vector(sol: PotentialSolution, x: np.ndarray) -> np.ndarray:
@@ -128,10 +142,19 @@ def field_vector(sol: PotentialSolution, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] != sol.n:
         raise ValueError(f"points must be {sol.n}-vectors, got {x.shape}")
-    r = np.linalg.norm(x, axis=-1, keepdims=True)
-    if not np.all(r > 0):
-        raise ValueError("the field is singular at the origin")
-    return sol.q * x / (unit_sphere_area(sol.n) * r ** sol.n)
+    with np.errstate(over="ignore"):
+        r = np.linalg.norm(x, axis=-1, keepdims=True)
+        scale = unit_sphere_area(sol.n) * r ** sol.n
+    # the field divides by O_{n-1} r^n, which must be a normal float
+    bad = ~((scale >= sys.float_info.min) & (scale < math.inf))[..., 0]
+    if bad.any():
+        point = x[bad][0]
+        if not point.any():
+            raise ValueError("the field is singular at the origin")
+        raise ValueError(f"r = |x| is out of range at x = {point.tolist()!r}: "
+                         f"O_(n-1) r**{sol.n} = {float(scale[bad][0, 0])!r} "
+                         f"is not a normal float")
+    return sol.q * x / scale
 
 
 def apply_scaling(sol: PotentialSolution,
@@ -241,5 +264,6 @@ def enclosed_charge(sol: PotentialSolution, radius: float) -> float:
     """O_{n-1} r^{n-1} E(r), the analytic flux identity for every n >= 2."""
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    return (unit_sphere_area(sol.n) * radius ** (sol.n - 1)
-            * field_magnitude(sol, radius))
+    scale = _scaled_power(unit_sphere_area(sol.n), radius, sol.n - 1,
+                          "radius")
+    return scale * (sol.q / scale)

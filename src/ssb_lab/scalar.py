@@ -185,11 +185,12 @@ def _midpoint(lo: float, hi: float) -> float:
     return struct.unpack("<d", struct.pack("<q", (a + b) // 2))[0]
 
 
-def _root(p: Polynomial, dp: Polynomial, lo: float, hi: float,
-          flo: float) -> float:
+def _root(p: Polynomial, dp: Polynomial, f: list[int], lo: float,
+          hi: float, flo: float) -> float:
     """The root of p in (lo, hi), where p is monotone and p(lo) = flo and
-    p(hi) differ in sign: Newton's method kept inside the bracket (rtsafe,
-    Press et al., Numerical Recipes, 9.4).
+    p(hi) differ in sign, and f holds p's coefficients as integers (see
+    _integer_coefficients): Newton's method kept inside the bracket
+    (rtsafe, Press et al., Numerical Recipes, 9.4).
 
     It starts at the arithmetic midpoint.  Each step evaluates p and p' at
     one point strictly inside the bracket and shrinks the bracket to the
@@ -197,11 +198,18 @@ def _root(p: Polynomial, dp: Polynomial, lo: float, hi: float,
     lands inside the bracket and moves less than half as far as the step
     before it, and the bracket's _midpoint otherwise, so a Newton step that
     converges slowly, as far from a root of a high degree or as one that
-    only halves x on the way to a root near 0, gives way to bisection.  The
-    loop stops at an exact zero, at a point the Newton step leaves
-    unchanged, when the midpoint is an end of the bracket, or after 200
-    steps, and returns the evaluated point with the smallest |p|.  Every
-    rule mirrors exactly under x -> -x.
+    only halves x on the way to a root near 0, gives way to bisection.
+
+    Where p rounds to 0, as it does near a root below about 1e-160, where
+    it underflows, the sign of p is read exactly from f and the bracket
+    shrinks by it.  The loop stops there at an exact zero, or when the
+    exact sign changes within one ulp, and bisects otherwise, as a Newton
+    step of 0 is no fixed point there.  It also stops at a point the
+    Newton step leaves unchanged, when the midpoint is an end of the
+    bracket, or after 200 steps.  It returns the evaluated point with the
+    smallest |p|: the last one where p rounds to 0 if there is one, or the
+    exact zero one ulp beside it.  Every rule mirrors exactly under
+    x -> -x.
 
     Bisection alone ends within 65 steps: the start, one step to 0 if the
     bracket still straddles it, then each halves the count of floats
@@ -215,16 +223,29 @@ def _root(p: Polynomial, dp: Polynomial, lo: float, hi: float,
         if x == lo or x == hi:  # only a midpoint can be an end
             break
         fx = p(x)
-        if abs(fx) < best_val:
+        rounded = fx == 0.0
+        if rounded:  # an exact zero, or p rounds to 0 near a root
+            best_x, best_val, fx = x, 0.0, _sign(f, x)
+            if fx == 0.0:
+                break
+        elif abs(fx) < best_val:
             best_x, best_val = x, abs(fx)
-        if fx == 0.0:
-            break
         if (fx < 0.0) == (flo < 0.0):
-            lo, flo = x, fx
+            lo, flo, far = x, fx, hi
         else:
-            hi = x
-        d = dp(x)
-        step = fx / d if d != 0.0 else math.nan  # NaN: bisect
+            hi, far = x, lo
+        if rounded:
+            # done if p changes sign within one ulp of x; otherwise bisect,
+            # as a Newton step of 0 is no fixed point here
+            beside = math.nextafter(x, far)
+            sign = _sign(f, beside)
+            if sign != fx:
+                best_x = x if sign else beside
+                break
+            step = math.nan
+        else:
+            d = dp(x)
+            step = fx / d if d != 0.0 else math.nan  # NaN: bisect
         if x - step == x:  # a Newton fixed point: converged
             break
         dx_old, dx = dx, step
@@ -259,8 +280,18 @@ def _zeros(chain: list[Polynomial], k: int, lo: float,
     zeros there, sorted.  The same search on its derivative chain[k + 1]
     splits [lo, hi] into pieces on which chain[k] is monotone, with the
     sign of chain[k] read exactly at each split point; a piece whose ends
-    differ in sign holds one root, which _root finds."""
+    differ in sign holds one root, which _root finds.
+
+    When chain[k] is even or odd (all its odd, or all its even, coefficients
+    are exactly 0) and the bracket is symmetric, its zeros are closed under
+    x -> -x, and Horner's rule and every step of the search mirror exactly:
+    [0, hi] is searched alone, and the nonzero roots found there are
+    mirrored, bit for bit what a search of [lo, 0] would find."""
     p, dp = chain[k], chain[k + 1]
+    c = p.coefficients
+    if lo == -hi and not (any(c[1::2]) and any(c[::2])):
+        half = _zeros(chain, k, 0.0, hi)
+        return sorted([-x for x in half if x != 0.0] + half)
     crit = _zeros(chain, k + 1, lo, hi) if dp.degree >= 1 else []
     inner = [x for x in crit if lo < x < hi]
     ends = [lo, *inner, hi]
@@ -269,7 +300,7 @@ def _zeros(chain: list[Polynomial], k: int, lo: float,
     zeros = {x for x, v in zip(ends, vals) if v == 0.0}
     for a, b, fa, fb in zip(ends, ends[1:], vals, vals[1:]):
         if fa != 0.0 and fb != 0.0 and (fa < 0.0) != (fb < 0.0):
-            zeros.add(_root(p, dp, a, b, fa))
+            zeros.add(_root(p, dp, f, a, b, fa))
     return sorted(zeros)
 
 
@@ -297,8 +328,10 @@ def real_roots(p: Polynomial, bracket: tuple[float, float]) -> list[PolyRoot]:
     each f_i once.
 
     When every odd coefficient is exactly 0 and the bracket is symmetric,
-    p(-x) equals p(x) bit for bit and each f_i is even or odd, so the
-    searches mirror exactly and the roots come out as exact +- pairs.
+    p(-x) equals p(x) bit for bit, and each f_i and each of its derivatives
+    is even or odd: the search covers [0, hi] alone and mirrors what it
+    finds (see _zeros), so the roots come out as exact +- pairs, with 0 as
+    +0.0.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     _check_bracket(lo, hi)

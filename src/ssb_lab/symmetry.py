@@ -9,7 +9,9 @@ matrix distance below a tolerance; invariance of a point configuration is a
 greedy nearest-neighbour matching that is then verified to be a bijection
 and, if edges are present, to permute the edge set.  A stabilizer matches
 all |G| images of an (m, n) configuration, one batched product, in a single
-(|G|, m, m) distance tensor (memory O(|G| m^2 n)); an orbit compares them
+(|G|, m, m) distance tensor (memory O(|G| m^2 n)); the classification matches
+those of every solution with the same point count and edges together, in
+(S, |G|, m, m) tensors of bounded size; an orbit compares its images
 pairwise.
 
 The classification at the bottom turns a problem group and a list of solution
@@ -35,6 +37,9 @@ MATCH_TOL = 1e-10
 # squared distances overflow (past 1.8e308) from coordinates of about 1e154
 MAX_COORDINATE = 1e150
 _ASSOCIATIVITY_MAX_ORDER = 16
+# classify_ssb matches configs of one size and wiring together, in distance
+# tensors whose (S, |G|, m, m, n) differences take at most this many bytes
+_MATCH_BYTES = 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -292,32 +297,34 @@ def transform_config(t: OrthoTransform, c: PointConfig) -> PointConfig:
 
 def _match_points(src: np.ndarray, dst: np.ndarray, src_edges: tuple,
                   dst_edges: tuple, tol: float) -> list[int]:
-    """Indices k where the greedy nearest-neighbour map src[k, i] ->
-    dst[perm[i]] is a bijection within ``tol`` that maps ``src_edges`` onto
-    ``dst_edges``.
+    """Flat indices b into the leading axes of ``src`` where the greedy
+    nearest-neighbour map src[b, i] -> dst[perm[i]] is a bijection within
+    ``tol`` that maps ``src_edges`` onto ``dst_edges``.
 
-    ``src`` is a (K, m, n) stack of point sets and ``dst`` one (m, n) set.
-    One (K, m, m) distance tensor serves all K of them; only those whose
-    points all lie within ``tol`` get the bijection and edge checks.  Greedy
-    matching is valid because configs forbid near-duplicate points, so
-    within scope any matching below tol is unique.
+    ``src`` is a (K, m, n) stack of point sets and ``dst`` one (m, n) set,
+    or ``src`` is (S, K, m, n) and ``dst`` an (S, 1, 1, m, n) stack, one
+    set per row of src; ``dst`` may carry leading axes of length 1.  One
+    (..., m, m) distance tensor serves them all;
+    only those whose points all lie within ``tol`` get the bijection and
+    edge checks.  Greedy matching is valid because configs forbid
+    near-duplicate points, so within scope any matching below tol is unique.
     """
-    diff = src[:, :, None, :] - dst
+    diff = src[..., None, :] - dst
     dist = np.sqrt((diff * diff).sum(axis=-1))
     m = dist.shape[-1]
     if m == 0:
-        return list(range(len(dist)))
-    perms = dist.argmin(axis=-1)
+        return list(range(math.prod(dist.shape[:-2])))
+    perms = dist.argmin(axis=-1).reshape(-1, m)
     # the row minimum is the matched distance, NaN included; written so
     # that a NaN distance or tolerance fails the match
     close = dist.min(axis=-1).max(axis=-1) <= tol
     wanted = set(dst_edges)
     matched = []
-    for k in np.flatnonzero(close).tolist():
-        p = perms[k].tolist()
+    for b in np.flatnonzero(close).tolist():
+        p = perms[b].tolist()
         if len(set(p)) == m and wanted == {
                 (min(p[i], p[j]), max(p[i], p[j])) for i, j in src_edges}:
-            matched.append(k)
+            matched.append(b)
     return matched
 
 
@@ -342,22 +349,59 @@ def is_invariant(t: OrthoTransform, c: PointConfig,
                               c.edges, tol))
 
 
+def _check_tol(tol: float) -> None:
+    # a NaN or negative tol would match no element, not even the identity
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be a non-negative number, got {tol!r}")
+
+
+def _matched_images(g: FiniteGroup, points: np.ndarray, edges: tuple,
+                    tol: float) -> list[int]:
+    """Flat indices s * |G| + k where the image under element k of an
+    (m, n) set, or of set s of an (S, 1, m, n) stack of sets that share
+    ``edges``, matches the set.  One (|G|, m, m), or (S, |G|, m, m),
+    distance tensor serves them all, so memory is O(S |G| m^2 n)."""
+    # image [s, k] is bit-identical to g.elements[k].apply(points[s, 0])
+    return _match_points(points @ g.matrices.transpose(0, 2, 1),
+                         points[..., None, :, :], edges, edges, tol)
+
+
 def stabilizer(g: FiniteGroup, c: PointConfig,
                tol: float = MATCH_TOL) -> FiniteGroup:
     """The subgroup of elements leaving the configuration invariant.
 
-    The images under all elements are matched to the config at once, in one
-    (|G|, m, m) distance tensor, so memory is O(|G| m^2 n).  The subgroup
-    is the matching rows of the group's stack, which are not checked again.
+    The images under all elements are matched to the config at once (see
+    _matched_images).  The subgroup is the matching rows of the group's
+    stack, which are not checked again.
     """
-    # a NaN or negative tol would match no element, not even the identity
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be a non-negative number, got {tol!r}")
+    _check_tol(tol)
     _check_dims(g.dim, c)
-    # image k is bit-identical to g.elements[k].apply(c.points)
-    images = c.points @ g.matrices.transpose(0, 2, 1)
-    kept = _match_points(images, c.points, c.edges, c.edges, tol)
+    kept = _matched_images(g, c.points, c.edges, tol)
     return _group(g.matrices[kept], tuple(g.labels[k] for k in kept))
+
+
+def _stabilizers(g: FiniteGroup, configs: list[PointConfig],
+                 tol: float) -> list[FiniteGroup]:
+    """stabilizer(g, c, tol) for each config c, in order.  Configs with the
+    same point count and edges are matched together, in (S, |G|, m, m)
+    distance tensors whose differences take at most _MATCH_BYTES, or one
+    config's if that is more."""
+    _check_tol(tol)
+    batches: dict[tuple, list[int]] = {}
+    for i, c in enumerate(configs):
+        _check_dims(g.dim, c)
+        batches.setdefault((c.n_points, c.edges), []).append(i)
+    kept: list[list[int]] = [[] for _ in configs]
+    for (m, edges), members in batches.items():
+        size = max(1, _MATCH_BYTES // max(1, 8 * g.order * m * m * g.dim))
+        for start in range(0, len(members), size):
+            chunk = members[start:start + size]
+            points = np.array([configs[i].points for i in chunk])[:, None]
+            for b in _matched_images(g, points, edges, tol):
+                s, k = divmod(b, g.order)
+                kept[chunk[s]].append(k)
+    return [_group(g.matrices[rows], tuple(g.labels[k] for k in rows))
+            for rows in kept]
 
 
 def orbit(g: FiniteGroup, c: PointConfig,
@@ -407,12 +451,15 @@ def classify_ssb(problem_group: FiniteGroup,
 
     Unbroken: every solution keeps the full group.  Narrow breaking: no
     solution does.  General breaking: mixed, and the index of the first fully
-    symmetric solution is reported.
+    symmetric solution is reported.  The witnesses are those of
+    :func:`stabilizer`, bit for bit, and the same errors are raised in the
+    same order; the images of all solutions with the same point count and
+    edges are matched at once (see _stabilizers).
     """
     sols = list(solutions)
     if not sols:
         raise ValueError("need at least one solution to classify")
-    stabs = tuple(stabilizer(problem_group, c, tol) for c in sols)
+    stabs = tuple(_stabilizers(problem_group, sols, tol))
     full = [st.order == problem_group.order for st in stabs]
     if all(full):
         kind = SSBKind.UNBROKEN

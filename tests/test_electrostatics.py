@@ -114,6 +114,42 @@ def test_radius_must_be_positive():
         field_magnitude(sol, -1.0)
 
 
+def _strictly(f, *args):
+    """f(*args) with every warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return f(*args)
+
+
+def test_field_where_r_to_the_n_minus_1_underflows_names_r():
+    # r**2 = 1e-600 rounds to 0.0, and the division by it raised
+    # ZeroDivisionError
+    with pytest.raises(ValueError, match=r"^r = 1e-300 is out of range"):
+        _strictly(field_magnitude, PotentialSolution(n=3, q=1.0), 1e-300)
+    with pytest.raises(ValueError, match=r"^r = 1e-200 is out of range"):
+        _strictly(potential, PotentialSolution(n=4, q=1.0), 1e-200)
+
+
+def test_enclosed_charge_where_radius_to_the_n_minus_1_overflows():
+    # radius**39 = 1e390 raised OverflowError
+    with pytest.raises(ValueError, match=r"^radius = 10000000000\.0 is out "
+                                         r"of range"):
+        _strictly(enclosed_charge, PotentialSolution(n=40, q=1.0), 1e10)
+
+
+def test_flux_where_the_field_leaves_the_floats_names_r():
+    # the squares of the nodes' coordinates overflow, and numpy warned of it
+    with pytest.raises(ValueError, match=r"^r = \|x\| is out of range at "
+                                         r"x = \[.*e\+19\d, .*\]: "
+                                         r"O_\(n-1\) r\*\*3 = inf"):
+        _strictly(flux_integral, PotentialSolution(n=3, q=1.0), 1e200)
+    # within the floats the flux is the charge, up to the edges
+    for n, radius in ((3, 1.5e102), (3, 1e-102), (2, 3e153), (2, 1e-150)):
+        flux = _strictly(flux_integral, PotentialSolution(n=n, q=1.0),
+                         radius)
+        assert flux == pytest.approx(1.0, rel=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # fields
 # ---------------------------------------------------------------------------
@@ -166,6 +202,21 @@ def test_field_vector_rejects_the_origin_anywhere_in_a_batch():
     sol = PotentialSolution(n=2, q=1.0)
     with pytest.raises(ValueError, match="singular"):
         field_vector(sol, np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 2.0]]))
+
+
+@pytest.mark.parametrize("point, scale", [
+    ([1e200, 0.0, 0.0], "inf"),    # |x|^2 overflowed, and numpy warned
+    ([1e-120, 0.0, 0.0], "0.0"),   # |x|^3 underflowed: divide by zero
+    ([0.0, 1e-170, 0.0], "0.0"),   # |x|^2 underflows: it read as the origin
+])
+def test_field_vector_where_r_to_the_n_leaves_the_floats_names_r(point,
+                                                                 scale):
+    sol = PotentialSolution(n=3, q=1.0)
+    batch = np.array([[1.0, 2.0, 3.0], point, [0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match=rf"^r = \|x\| is out of range at "
+                                         rf"x = \[.*\]: O_\(n-1\) r\*\*3 = "
+                                         rf"{scale} is not a normal float"):
+        _strictly(field_vector, sol, batch)
 
 
 # ---------------------------------------------------------------------------

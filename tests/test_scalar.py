@@ -19,8 +19,10 @@ from hypothesis import strategies as st
 
 from ssb_lab.scalar import (DOUBLE_WELL, SQUARE_POLY, CriticalKind,
                             Polynomial, PolyRoot, SignFlipProblem,
-                            _midpoint, critical_points, real_roots,
-                            z2_solve, z2_solutions, z2_verdict)
+                            _derivative_chain, _integer_coefficients,
+                            _midpoint, _root, _sign, _square_free,
+                            critical_points, real_roots, z2_solve,
+                            z2_solutions, z2_verdict)
 from ssb_lab.symmetry import SSBKind
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -456,13 +458,17 @@ def test_newton_steps_that_only_halve_x_give_way_to_bisection(eps):
 
 
 def test_root_far_smaller_than_its_bracket_is_reached():
-    # the roots -4.0e-222 and 0 of x^2 + 4.0e-222 x in (-3, 3): 200
-    # arithmetic halvings of 3 end near 1e-60; bisecting on bit patterns
-    # reaches 0, and the other root where p rounds to 0
-    p = Polynomial((0.0, 4.0042955499057695e-222, 1.0))
-    low, zero = [r.location for r in real_roots(p, (-3.0, 3.0))]
-    assert zero == 0.0
-    assert -1e-150 < low < 0.0 and p(low) == 0.0
+    # the roots -eps and 0 of x^2 + eps x in (-3, 3): 200 arithmetic
+    # halvings of 3 end near 1e-60; bisecting on bit patterns reaches 0.
+    # Below about 1e-162 p underflows to 0.0, and a search that stopped
+    # there ended at -3.3e-167 for eps = 4.0e-222 and at -5.3e-166 for
+    # eps = 1e-170; read exactly, the signs bisect down to -eps
+    for eps in (1e-170, 4.0042955499057695e-222):
+        p = Polynomial((0.0, eps, 1.0))
+        low, zero = [r.location for r in real_roots(p, (-3.0, 3.0))]
+        assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+        assert abs(low + eps) <= 4 * math.ulp(eps)
+        assert p(low) == 0.0
 
 
 @pytest.mark.parametrize("lo,hi,mid", [
@@ -583,6 +589,90 @@ def _assert_matches_the_reference(coeffs, lo, hi):
         tol = (2.0 * gamma * magnitude(abs(ref)) / abs(chain[1](ref))
                + 4.0 * math.ulp(ref))
         assert abs(x - ref) <= tol
+
+
+def _full_zeros(chain, k, lo, hi):
+    """scalar._zeros without its rule for even and odd polynomials: all of
+    [lo, hi] is searched, however symmetric chain[k] and the bracket are,
+    as the reference that the rule must equal bit for bit."""
+    p, dp = chain[k], chain[k + 1]
+    crit = _full_zeros(chain, k + 1, lo, hi) if dp.degree >= 1 else []
+    inner = [x for x in crit if lo < x < hi]
+    ends = [lo, *inner, hi]
+    f, _ = _integer_coefficients(p)
+    vals = [p(lo), *(_sign(f, x) for x in inner), p(hi)]
+    zeros = {x for x, v in zip(ends, vals) if v == 0.0}
+    for a, b, fa, fb in zip(ends, ends[1:], vals, vals[1:]):
+        if fa != 0.0 and fb != 0.0 and (fa < 0.0) != (fb < 0.0):
+            zeros.add(_root(p, dp, f, a, b, fa))
+    return sorted(zeros)
+
+
+def _full_roots(p, lo, hi):
+    """real_roots(p, (lo, hi)) by _full_zeros, as (hex, multiplicity)."""
+    roots = [(x, m) for m, f in _square_free(p)
+             for x in _full_zeros(_derivative_chain([f]), 0, lo, hi)]
+    return [(x.hex(), m) for x, m in sorted(roots)]
+
+
+@st.composite
+def _even_or_odd(draw):
+    """Coefficients m * 10^e, 1 <= m < 10 and e from -30 to 30, of the even
+    or of the odd powers up to degree 10, the others exactly 0."""
+    parity = draw(st.integers(0, 1))
+    degree = parity + 2 * draw(st.integers(1 - parity, (10 - parity) // 2))
+    coeffs = [0.0] * (degree + 1)
+    for i in range(parity, degree + 1, 2):
+        coeffs[i] = (draw(st.sampled_from([-1.0, 1.0]))
+                     * draw(st.floats(1.0, 10.0, exclude_max=True))
+                     * 10.0 ** draw(st.integers(-30, 30)))
+    if degree > parity and draw(st.booleans()):
+        coeffs[parity] = 0.0  # a multiple root at 0
+    return coeffs
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_even_or_odd())
+@example([0.0, 0.0, -1.0, 0.0, 1.0])                # x^4 - x^2
+@example([0.0, -1.0, 0.0, 1.0])                     # x^3 - x
+@example([0.0, 0.0, 0.0, 1.0])                      # x^3
+def test_even_and_odd_searches_of_half_the_bracket_are_bit_identical(coeffs):
+    # p(-x) = +-p(x) bit for bit, so the roots on [lo, 0] mirror those on
+    # [0, hi]: searching [0, hi] alone gives the full search's roots, to
+    # the last bit and the sign of 0
+    p = Polynomial(tuple(coeffs))
+    bound = p.cauchy_root_bound() + 1.0
+    found = [(r.location.hex(), r.multiplicity)
+             for r in real_roots(p, (-bound, bound))]
+    assert found == _full_roots(p, -bound, bound)
+    assert all(x != "-0x0.0p+0" for x, _ in found)
+    if p.degree >= 2:
+        dp = p.derivative()
+        bound = dp.cauchy_root_bound() + 1.0
+        assume(bound < math.inf)
+        located = [cp.location.hex() for cp in critical_points(p)]
+        assert located == [x for x, _ in _full_roots(dp, -bound, bound)]
+
+
+@pytest.mark.parametrize("name", ["even_octic", "double_well"])
+def test_even_polynomials_make_at_most_60_percent_of_the_full_evaluations(
+        name, monkeypatch):
+    p = _SEARCHED[name]
+    bound = p.cauchy_root_bound() + 1.0
+    calls = []
+    horner = Polynomial.__call__
+
+    def counted(self, x):
+        calls.append(x)
+        return horner(self, x)
+
+    monkeypatch.setattr(Polynomial, "__call__", counted)
+    found = [(r.location.hex(), r.multiplicity)
+             for r in real_roots(p, (-bound, bound))]
+    half = len(calls)
+    calls.clear()
+    assert found == _full_roots(p, -bound, bound)
+    assert half <= 0.6 * len(calls)
 
 
 def test_roots_match_the_bisection_reference():

@@ -487,6 +487,67 @@ def test_orbit_stabilizer_product_is_group_order(group_and_config):
                                           else None)
 
 
+def _mixed_solutions(g):
+    """Configs of 0, 1, 2 and 4 points, with and without edges, that share
+    point counts and edges in some pairs and not in others."""
+    return [
+        PointConfig(np.zeros((0, 2))),
+        PointConfig([[0.0, 0.0]]),
+        PointConfig([[0.3, 0.7]]),
+        _square_config(),
+        _square_config(edges=((0, 1),)),
+        PointConfig([[1.0, 0.0], [-1.0, 0.0]]),
+        PointConfig([[0.0, 1.0], [0.0, -1.0]], ((0, 1),)),
+        *orbit(g, PointConfig([[0.3, 0.7], [0.5, 0.0]], ((0, 1),))),
+        *orbit(g, PointConfig([[1.0, 0.0]])),
+    ]
+
+
+@pytest.mark.parametrize("group", [dihedral_group(4), cyclic_group(4),
+                                   dihedral_group(6), dihedral_group(50)],
+                         ids=["D4", "C4", "D6", "D50"])
+def test_classification_matches_one_stabilizer_per_solution(group):
+    # D50 has 100 elements: 10-point configs fill several batches of
+    # matches each
+    sols = _mixed_solutions(group)
+    if group.order == 100:
+        sols += orbit(group, PointConfig(
+            np.random.default_rng(3).uniform(-1.0, 1.0, (10, 2))))
+    fixed = [st.order == group.order
+             for st in (stabilizer(group, c) for c in sols)]
+    for subset in (sols, [c for c, f in zip(sols, fixed) if not f],
+                   [c for c, f in zip(sols, fixed) if f]):
+        verdict = classify_ssb(group, subset)
+        stabs = [stabilizer(group, c) for c in subset]
+        assert [w.labels for w in verdict.witnesses] == \
+            [st.labels for st in stabs]
+        assert [w.matrices.tobytes() for w in verdict.witnesses] == \
+            [st.matrices.tobytes() for st in stabs]
+        full = [st.order == group.order for st in stabs]
+        assert verdict.kind is (SSBKind.UNBROKEN if all(full) else
+                                SSBKind.NARROW if not any(full) else
+                                SSBKind.GENERAL)
+        assert verdict.invariant_solution == (full.index(True) if any(full)
+                                              else None)
+
+
+def test_classification_rejects_what_one_stabilizer_per_solution_did():
+    # the same messages in the same order: no solutions, then the
+    # tolerance, then the first config of the wrong dimension
+    g, square = dihedral_group(4), _square_config()
+    line, space = PointConfig([[1.0], [2.0]]), PointConfig([[1.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="^need at least one solution"):
+        classify_ssb(g, [], math.nan)
+    with pytest.raises(ValueError, match="^tol must be a non-negative "
+                                         "number, got nan$"):
+        classify_ssb(g, [square, line], math.nan)
+    with pytest.raises(ValueError, match="^dimension mismatch: transform is "
+                                         "2-d, config is 1-d$"):
+        classify_ssb(g, [square, line, space])
+    with pytest.raises(ValueError, match="config is 3-d$"):
+        classify_ssb(g, [space, square, line])
+
+
 def test_group_action_memory_stays_bounded():
     # |G| = 200 and m = 10: a stabilizer's (200, 10, 10, 2) difference
     # tensor takes 320 kB; one over all pairs of images at once, (200, 200,
