@@ -16,11 +16,6 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .symmetry import (FiniteGroup, OrthoTransform, PointConfig, SSBKind,
-                       SSBVerdict, classify_ssb, cyclic_group, dihedral_group,
-                       is_invariant, orbit, rotation2d, sign_flip_group,
-                       stabilizer, verify_group_axioms)
-
 __all__ = [
     "FiniteGroup",
     "OrthoTransform",
@@ -38,3 +33,18 @@ __all__ = [
     "stabilizer",
     "verify_group_axioms",
 ]
+
+
+def __getattr__(name: str):
+    """Every export but ``__version__`` comes from ``symmetry``, which runs
+    the first time one is read (PEP 562), not when the package is imported:
+    ``ssb-lab ode`` needs none of it."""
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import symmetry
+    value = globals()[name] = getattr(symmetry, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -29,24 +29,41 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib.util
 import json
 import math
 import os
 import sys
+import types
 from datetime import datetime, timezone
 from typing import Any, NoReturn
 
 import numpy as np
 
 from . import __version__
-from . import electrostatics as es
-from . import maxwell as mx
-from . import ode
-from . import scalar as sc
-from . import steiner as st
-from . import symmetry as sym
 from .report import (CheckReport, RunManifest, make_check, manifest_json,
                      write_csv, write_segments, write_text_atomic)
+
+
+def _lazy(name: str) -> types.ModuleType:
+    """The module ``ssb_lab.<name>``, whose file runs the first time one of
+    its attributes is read: a run loads only the models its subcommands
+    use.  An already imported module is reused, so the CLI and its callers
+    share one copy."""
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    setattr(sys.modules[__package__], name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+es, mx, ode, sc, st, sym = map(_lazy, ("electrostatics", "maxwell", "ode",
+                                       "scalar", "steiner", "symmetry"))
 
 DEFAULT_OUT = "ssb_lab_out"
 ENV_OUT = "SSB_LAB_OUT"
@@ -55,7 +72,7 @@ DEFAULTS: dict[str, dict[str, Any]] = {
     "steiner": {"side": 1.0, "terminals": None, "seed": 0},
     "scalar": {},
     "ode": {"trials": 1000, "seed": 0},
-    "maxwell": {"grid": mx.DEFAULT_GRID, "k": [1, 2, 2]},
+    "maxwell": {"grid": 32, "k": [1, 2, 2]},
     "potential": {"n": 3, "q": 1.0, "mu": 1.0, "lam": 2.0},
     "classify": {"seed": 0},
 }
@@ -81,10 +98,6 @@ MAX_POTENTIAL_DIM = 171
 # the checks raise lambda * r (r <= 7) to powers up to 5, which must stay
 # within 1e+-308; mu shares the bound, so r / mu and mu / lambda do too
 SCALE_RANGE = (1e-60, 1e60)
-# the bundled sign-flip problems and the verdict each must get
-SIGN_FLIP_VERDICTS = ((sc.SignFlipProblem.SQUARE_ROOTS, sym.SSBKind.NARROW),
-                      (sc.SignFlipProblem.QUARTIC_ROOTS, sym.SSBKind.GENERAL),
-                      (sc.SignFlipProblem.QUARTIC_MINIMA, sym.SSBKind.NARROW))
 
 
 class UsageError(Exception):
@@ -114,7 +127,8 @@ class _Run:
 
 # shared fixtures: pure results of fixed inputs, computed at most once per
 # run and shared by the runners of `all`; run_subcommand clears them, and
-# sc.z2_solve, the cached solve of the bundled sign-flip problems
+# sc.z2_solve, the cached solve of the bundled sign-flip problems, for the
+# runs that read it
 
 @functools.cache
 def _d4() -> sym.FiniteGroup:
@@ -131,6 +145,14 @@ def _square_networks(side: float) -> tuple[tuple, tuple]:
 @functools.cache
 def _z2_verdict(problem: sc.SignFlipProblem) -> sym.SSBVerdict:
     return sc.z2_verdict(problem)
+
+
+def _sign_flip_verdicts() -> tuple[tuple[sc.SignFlipProblem, sym.SSBKind],
+                                   ...]:
+    """The bundled sign-flip problems and the verdict each must get."""
+    return ((sc.SignFlipProblem.SQUARE_ROOTS, sym.SSBKind.NARROW),
+            (sc.SignFlipProblem.QUARTIC_ROOTS, sym.SSBKind.GENERAL),
+            (sc.SignFlipProblem.QUARTIC_MINIMA, sym.SSBKind.NARROW))
 
 
 def _run_steiner(cfg: dict[str, Any], run: _Run) -> None:
@@ -206,7 +228,7 @@ def _run_scalar(cfg: dict[str, Any], run: _Run) -> None:
     run.check("scalar.quartic_minimum_value", "scalar.quartic.well_depth",
               err, 0.0, 1e-12)
 
-    for problem, expected in SIGN_FLIP_VERDICTS:
+    for problem, expected in _sign_flip_verdicts():
         verdict = _z2_verdict(problem)
         run.check(f"scalar.verdict.{problem.value}",
                   f"scalar.{problem.value}.verdict",
@@ -444,7 +466,7 @@ def _run_classify(cfg: dict[str, Any], run: _Run) -> None:
     run.check("classify.square_itself", "classify.control",
               unbroken.kind.value, sym.SSBKind.UNBROKEN.value)
 
-    for problem, expected in SIGN_FLIP_VERDICTS:
+    for problem, expected in _sign_flip_verdicts():
         run.check(f"classify.{problem.value}", f"classify.{problem.value}",
                   _z2_verdict(problem).kind.value, expected.value)
 
@@ -462,12 +484,14 @@ _RUNNERS = {
 def run_subcommand(name: str, config: dict[str, Any] | None = None,
                    out_dir: str = DEFAULT_OUT) -> RunManifest:
     """Run one subcommand (or 'all'), emit its plot data, return the manifest."""
-    for fixture in (_d4, _square_networks, _z2_verdict, sc.z2_solve):
+    for fixture in (_d4, _square_networks, _z2_verdict):
         fixture.cache_clear()
     if name != "all" and name not in _RUNNERS:
         raise ValueError(f"unknown subcommand {name!r}")
     cfgs = {sub: resolve_config(sub, config or {})
             for sub in (_RUNNERS if name == "all" else [name])}
+    if not cfgs.keys().isdisjoint(("scalar", "classify")):
+        sc.z2_solve.cache_clear()  # any other run leaves scalar unloaded
     for sub, cfg in cfgs.items():
         _validate_config(sub, cfg)
     try:
@@ -648,7 +672,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="plane-wave residuals and complex rescaling")
     p.add_argument("--grid", type=int, default=None, metavar="N",
                    help=f"points per axis, {MIN_MAXWELL_GRID} to "
-                        f"{MAX_MAXWELL_GRID} (default {mx.DEFAULT_GRID})")
+                        f"{MAX_MAXWELL_GRID} "
+                        f"(default {DEFAULTS['maxwell']['grid']})")
 
     p = sub.add_parser("potential", parents=[common],
                        help="point charge in n dimensions")

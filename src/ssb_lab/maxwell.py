@@ -33,7 +33,6 @@ import numpy as np
 _TRANSVERSALITY_TOL = 1e-12
 MIN_GRID = 4
 BOX_LENGTH = 2.0 * np.pi
-DEFAULT_GRID = 32
 DEFAULT_DT_RATIO = 0.1  # dt = ratio * h keeps time error subdominant
 
 
@@ -194,7 +193,7 @@ class PlaneWaveField:
     """
 
     spec: PlaneWaveSpec
-    n_grid: int = DEFAULT_GRID
+    n_grid: int
     time: float = 0.0
     spacing: float = field(init=False)
     px: np.ndarray = field(init=False, repr=False)
@@ -239,7 +238,7 @@ def _stored(f: Field) -> np.ndarray:
     return values
 
 
-def sample_plane_wave(spec: PlaneWaveSpec, n_grid: int = DEFAULT_GRID,
+def sample_plane_wave(spec: PlaneWaveSpec, n_grid: int,
                       time: float = 0.0) -> ComplexFieldGrid:
     """Evaluate amp * eps * exp(i(k.x - |k| t)) on the periodic grid and
     store it: every plane of the ``PlaneWaveField``."""
@@ -247,7 +246,7 @@ def sample_plane_wave(spec: PlaneWaveSpec, n_grid: int = DEFAULT_GRID,
     return ComplexFieldGrid(_stored(wave), wave.spacing, wave.time)
 
 
-def wave_snapshots(spec: PlaneWaveSpec, n_grid: int = DEFAULT_GRID,
+def wave_snapshots(spec: PlaneWaveSpec, n_grid: int,
                    time: float = 0.0
                    ) -> tuple[PlaneWaveField, PlaneWaveField,
                               PlaneWaveField, float]:

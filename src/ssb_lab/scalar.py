@@ -280,7 +280,10 @@ def _zeros(chain: list[Polynomial], k: int, lo: float,
     zeros there, sorted.  The same search on its derivative chain[k + 1]
     splits [lo, hi] into pieces on which chain[k] is monotone, with the
     sign of chain[k] read exactly at each split point; a piece whose ends
-    differ in sign holds one root, which _root finds.
+    differ in sign holds one root, which _root finds.  A piece that ends
+    at an inner split point where chain[k] is exactly 0 is searched up to
+    that point's neighbour, as in x^2 + 5e-324 x, whose roots -5e-324 and 0
+    are adjacent floats.
 
     When chain[k] is even or odd (all its odd, or all its even, coefficients
     are exactly 0) and the bracket is symmetric, its zeros are closed under
@@ -298,8 +301,19 @@ def _zeros(chain: list[Polynomial], k: int, lo: float,
     f, _ = _integer_coefficients(p)
     vals = [p(lo), *(_sign(f, x) for x in inner), p(hi)]
     zeros = {x for x, v in zip(ends, vals) if v == 0.0}
-    for a, b, fa, fb in zip(ends, ends[1:], vals, vals[1:]):
-        if fa != 0.0 and fb != 0.0 and (fa < 0.0) != (fb < 0.0):
+    for i, (a, b, fa, fb) in enumerate(zip(ends, ends[1:], vals, vals[1:])):
+        # an inner split point where chain[k] is exactly 0 can sit one ulp
+        # past its true turning point, with a second root beside it: the
+        # piece then ends at the neighbouring float instead, read exactly
+        if fb == 0.0 and fa != 0.0 and i < len(inner):
+            b = math.nextafter(b, a)
+            fb = _sign(f, b)
+        elif fa == 0.0 and fb != 0.0 and i > 0:
+            a = math.nextafter(a, b)
+            fa = _sign(f, a)
+        if fa == 0.0 or fb == 0.0:
+            zeros.update(x for x, v in ((a, fa), (b, fb)) if v == 0.0)
+        elif (fa < 0.0) != (fb < 0.0):
             zeros.add(_root(p, dp, f, a, b, fa))
     return sorted(zeros)
 

@@ -1,4 +1,4 @@
-"""tools/layers.py, the in-process layer timing harness: one tiny run."""
+"""tools/layers.py, the layer timing harness: one tiny run."""
 
 from __future__ import annotations
 
@@ -20,7 +20,11 @@ def test_every_layer_is_timed_and_counted_once():
     for layer in ("stabilizer", "orbit", "classify_ssb"):
         assert result[layer]["matched_images"] >= result[layer][
             "match_tensors"] > 0
+    cold = layers.cold(layers.ROOT, ("import_cli",))
+    assert cold["import_cli"]["us_per_call"] > 0
+    assert cold["import_cli"]["files_run"] == 3  # __init__, cli, report
+    result.update(cold)
     report = layers.compare({"change": [result], "parent": [result]})
     assert all(row["ratio"] == 1.0 for row in report.values())
     text = layers.format_report(report)
-    assert all(layer in text for layer in layers.LAYERS)
+    assert all(layer in text for layer in [*layers.LAYERS, "import_cli"])

@@ -471,6 +471,17 @@ def test_root_far_smaller_than_its_bracket_is_reached():
         assert p(low) == 0.0
 
 
+@pytest.mark.parametrize("eps", [5e-324, 1e-323, 1.5e-323, 4e-323])
+def test_roots_on_adjacent_floats_are_both_found(eps):
+    # the turning point -eps/2 of x^2 + eps x is no float for eps = 5e-324:
+    # the split point lands on a root, and the piece beyond it holds the
+    # other root on the next float
+    for sign in (1.0, -1.0):
+        p = Polynomial((0.0, sign * eps, 1.0))
+        roots = [r.location for r in real_roots(p, (-3.0, 3.0))]
+        assert roots == sorted([-sign * eps, 0.0])
+
+
 @pytest.mark.parametrize("lo,hi,mid", [
     (-3.0, 3.0, 0.0),
     (-1e-300, 2.0, 0.0),

@@ -1,4 +1,4 @@
-"""In-process layer timings of ssb_lab, one tree against another.
+"""Layer timings of ssb_lab, in process and cold, one tree against another.
 
     python3 tools/layers.py --against PATH [--json]
 
@@ -18,7 +18,16 @@ images matched and match tensors built per call.
 The inputs are those of the ``verdict_sweep`` workload of perfbench at
 seed SEED, taken from ``perfbench/workloads.py`` of the tree that runs this
 file: its even polynomials, and its dihedral groups with the points they act
-on.  Each side runs ROUNDS rounds.  Without ``--against`` the current tree
+on.
+
+The cold layers are fresh interpreters, timed from start to exit (a call
+is one run), one run of each per round, pinned to one CPU and in the same
+alternating order: ``import_cli`` runs ``python -c "import ssb_lab.cli"``,
+and each default subcommand ``python -m ssb_lab SUB --out TMP``.  They
+inherit the environment, so whether sources are compiled on every start
+depends on PYTHONDONTWRITEBYTECODE there.  Their counter, taken in an
+untimed run with an ``exec`` audit hook, is the number of ``ssb_lab``
+files the interpreter runs.  Each side runs ROUNDS rounds.  Without ``--against`` the current tree
 is measured alone.  Nothing here is a gate.
 """
 
@@ -30,6 +39,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -40,6 +50,31 @@ LAYERS = ("real_roots", "critical_points", "dihedral_group", "stabilizer",
 ROUNDS = 10     # fresh subprocesses per side
 SEED = 1        # of the verdict_sweep inputs
 REPEATS = 5     # timed passes over the inputs per layer
+# the cold layers, each a python command line; --out TMP is added to the
+# subcommands
+COLD = {"import_cli": ["-c", "import ssb_lab.cli"],
+        **{sub: ["-m", "ssb_lab", sub] for sub in
+           ("steiner", "scalar", "ode", "maxwell", "potential", "classify",
+            "all")}}
+# ``python -c _AUDITED LOG ARGS...`` runs ``python ARGS...`` for ARGS
+# ``-c CODE`` or ``-m MODULE ...`` and writes the names of the ssb_lab files
+# it runs, in the order they run, to LOG
+_AUDITED = """\
+import atexit, os, runpy, sys
+log, flag, target = sys.argv[1:4]
+sys.argv[1:4] = []
+ran = []
+def record(event, args):
+    path = getattr(args[0], "co_filename", "") if event == "exec" else ""
+    if os.path.basename(os.path.dirname(path)) == "ssb_lab":
+        ran.append(os.path.basename(path)[:-3])
+sys.addaudithook(record)
+atexit.register(lambda: open(log, "w").write(" ".join(ran)))
+if flag == "-c":
+    exec(target, {"__name__": "__main__"})
+else:
+    runpy.run_module(target, run_name="__main__", alter_sys=True)
+"""
 
 
 def _inputs(n: int | None) -> tuple[list, list]:
@@ -127,12 +162,49 @@ def measure(n: int | None = None, repeats: int = REPEATS) -> dict:
     return out
 
 
+def _one_cpu() -> None:
+    """Pin the calling process to one CPU."""
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def _env(tree: str) -> dict[str, str]:
+    return dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+
+
 def _child(tree: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     done = subprocess.run([sys.executable, os.path.abspath(__file__),
-                           "--child"],
-                          env=env, capture_output=True, text=True, check=True)
+                           "--child"], env=_env(tree), capture_output=True,
+                          text=True, check=True)
     return json.loads(done.stdout)
+
+
+def files_run(tree: str, args: list[str]) -> tuple[list[str], int]:
+    """The ssb_lab files (module names, in the order they run) that
+    ``python ARGS`` runs with ``tree``'s sources, and its exit code."""
+    with tempfile.TemporaryDirectory() as tmp:
+        log = os.path.join(tmp, "ran")
+        done = subprocess.run([sys.executable, "-c", _AUDITED, log, *args],
+                              env=_env(tree), capture_output=True)
+        with open(log) as handle:
+            return handle.read().split(), done.returncode
+
+
+def cold(tree: str, names=tuple(COLD)) -> dict:
+    """Microseconds of one run of each cold layer in ``names`` with
+    ``tree``'s sources, and the number of ssb_lab files it runs."""
+    out = {}
+    for layer in names:
+        with tempfile.TemporaryDirectory() as tmp:
+            args = COLD[layer] + (["--out", tmp] if COLD[layer][0] == "-m"
+                                  else [])
+            start = time.perf_counter()
+            subprocess.run([sys.executable, *args], env=_env(tree),
+                           capture_output=True, preexec_fn=_one_cpu)
+            elapsed = time.perf_counter() - start
+            files, _ = files_run(tree, args)
+        out[layer] = {"us_per_call": elapsed * 1e6, "files_run": len(files)}
+    return out
 
 
 def _quartiles(xs: list[float]) -> dict:
@@ -144,7 +216,7 @@ def compare(runs: dict[str, list[dict]]) -> dict:
     """Per layer and side, the quartiles of the rounds' us per call and the
     first round's counters; with two sides, the change/parent ratio."""
     report = {}
-    for layer in LAYERS:
+    for layer in next(iter(runs.values()))[0]:
         row = {}
         for side, results in runs.items():
             times = [r[layer]["us_per_call"] for r in results]
@@ -167,7 +239,7 @@ def format_report(report: dict) -> str:
             r = row[side]
             counters = ", ".join(f"{k} {r[k]:g}" for k in
                                  ("evaluations", "matched_images",
-                                  "match_tensors") if k in r)
+                                  "match_tensors", "files_run") if k in r)
             lines.append(f"{layer:16} {side:7} {r['q1']:9.1f} "
                          f"{r['median']:9.1f} {r['q3']:9.1f}  {counters}")
         if "ratio" in row:
@@ -183,8 +255,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        if hasattr(os, "sched_setaffinity"):
-            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+        _one_cpu()
         print(json.dumps(measure()))
         return 0
     sides = {"change": ROOT}
@@ -194,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
     for i in range(ROUNDS):
         order = list(sides) if i % 2 == 0 else list(reversed(sides))
         for side in order:
-            runs[side].append(_child(sides[side]))
+            runs[side].append({**_child(sides[side]), **cold(sides[side])})
     report = compare(runs)
     print(json.dumps(report) if args.json else format_report(report))
     return 0
