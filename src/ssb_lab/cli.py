@@ -641,7 +641,8 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
-                        help="seed for every randomized piece (default 0)")
+                        help=f"seed for every randomized piece (default "
+                             f"{DEFAULTS['steiner']['seed']})")
     common.add_argument("--out", default=None,
                         help=f"output directory (default ${ENV_OUT} "
                              f"or ./{DEFAULT_OUT})")
@@ -659,7 +660,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="shortest networks and their residual symmetry")
     p.add_argument("--square", dest="side", type=float, default=None,
                    metavar="SIDE",
-                   help="side of the centered square (default 1)")
+                   help=f"side of the centered square "
+                        f"(default {DEFAULTS['steiner']['side']:g})")
     p.add_argument("--terminals", default=None, metavar="FILE",
                    help="JSON file [[x, y], ...] of 3 or 4 terminals")
 
@@ -679,14 +681,17 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="point charge in n dimensions")
     p.add_argument("-n", "--dim", dest="n", type=int, default=None,
                    metavar="DIM",
-                   help="spatial dimension (default 3)")
+                   help=f"spatial dimension "
+                        f"(default {DEFAULTS['potential']['n']})")
     p.add_argument("-q", "--charge", dest="q", type=float, default=None,
                    metavar="CHARGE",
-                   help="charge (default 1)")
+                   help=f"charge (default {DEFAULTS['potential']['q']:g})")
     p.add_argument("--mu", type=float, default=None,
-                   help="n=2 reference radius (default 1)")
+                   help=f"n=2 reference radius "
+                        f"(default {DEFAULTS['potential']['mu']:g})")
     p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="scale factor for the rescaling checks (default 2)")
+                   help=f"scale factor for the rescaling checks "
+                        f"(default {DEFAULTS['potential']['lam']:g})")
 
     sub.add_parser("classify", parents=[common],
                    help="verdicts for the bundled problems")

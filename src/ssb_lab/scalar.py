@@ -206,10 +206,12 @@ def _root(p: Polynomial, dp: Polynomial, f: list[int], lo: float,
     exact sign changes within one ulp, and bisects otherwise, as a Newton
     step of 0 is no fixed point there.  It also stops at a point the
     Newton step leaves unchanged, when the midpoint is an end of the
-    bracket, or after 200 steps.  It returns the evaluated point with the
-    smallest |p|: the last one where p rounds to 0 if there is one, or the
-    exact zero one ulp beside it.  Every rule mirrors exactly under
-    x -> -x.
+    bracket, or after 200 steps.  Where p overflows to +-inf or NaN, far
+    out in a wide bracket, its sign is read exactly from f as well and the
+    step bisects.  It returns the evaluated point with the smallest finite
+    |p|: the last one where p rounds to 0 if there is one, or the exact
+    zero one ulp beside it, or the last point if p was finite at none.
+    Every rule mirrors exactly under x -> -x.
 
     Bisection alone ends within 65 steps: the start, one step to 0 if the
     bracket still straddles it, then each halves the count of floats
@@ -223,13 +225,18 @@ def _root(p: Polynomial, dp: Polynomial, f: list[int], lo: float,
         if x == lo or x == hi:  # only a midpoint can be an end
             break
         fx = p(x)
-        rounded = fx == 0.0
+        rounded, overflow = fx == 0.0, not math.isfinite(fx)
         if rounded:  # an exact zero, or p rounds to 0 near a root
-            best_x, best_val, fx = x, 0.0, _sign(f, x)
-            if fx == 0.0:
-                break
+            best_x, best_val = x, 0.0
+        elif overflow:  # kept only until p is finite somewhere
+            best_x = x if best_val == math.inf else best_x
         elif abs(fx) < best_val:
             best_x, best_val = x, abs(fx)
+        if rounded or overflow:
+            fx = _sign(f, x)
+            if fx == 0.0:
+                best_x = x
+                break
         if (fx < 0.0) == (flo < 0.0):
             lo, flo, far = x, fx, hi
         else:
@@ -242,6 +249,8 @@ def _root(p: Polynomial, dp: Polynomial, f: list[int], lo: float,
             if sign != fx:
                 best_x = x if sign else beside
                 break
+            step = math.nan
+        elif overflow:
             step = math.nan
         else:
             d = dp(x)

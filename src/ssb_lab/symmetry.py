@@ -7,12 +7,12 @@ positioned with their symmetry center at the origin, as the square of
 ``steiner.square_terminals`` is.  Equality of group elements is max-norm
 matrix distance below a tolerance; invariance of a point configuration is a
 greedy nearest-neighbour matching that is then verified to be a bijection
-and, if edges are present, to permute the edge set.  A stabilizer matches
-all |G| images of an (m, n) configuration, one batched product, in a single
-(|G|, m, m) distance tensor (memory O(|G| m^2 n)); the classification matches
-those of every solution with the same point count and edges together, in
-(S, |G|, m, m) tensors of bounded size; an orbit compares its images
-pairwise.
+and, if edges are present, to permute the edge set.  One matcher compares
+a stack of K images with their target set for every match.  A stabilizer is
+the classification's match of one configuration: the |G| images of every
+solution with the same point count and edges are matched together, in
+(S, |G|, m, m) distance tensors of bounded size; an orbit compares its
+images pairwise.  A NaN or negative tolerance is rejected by name.
 
 The classification at the bottom turns a problem group and a list of solution
 configurations into a verdict: unbroken symmetry (every solution keeps the
@@ -141,6 +141,7 @@ class FiniteGroup:
 
     def find(self, t: OrthoTransform, tol: float = MATCH_TOL) -> int | None:
         """Index of the first element within ``tol`` of ``t``, else None."""
+        _check_tol(tol)
         if t.dim != self.dim:
             return None
         close = np.abs(self.matrices - t.matrix).max(axis=(1, 2)) <= tol
@@ -178,6 +179,7 @@ def verify_group_axioms(g: FiniteGroup, tol: float = MATCH_TOL) -> GroupCheck:
     n^2)).  Associativity of matrix products holds up to rounding, so it is
     only re-checked (all triples) for groups of order <= 16, where it is cheap.
     """
+    _check_tol(tol)
     mats, eye = g.matrices, np.eye(g.dim)
     prods = mats[:, None] @ mats  # prods[i, j] = mats[i] @ mats[j]
     violations: list[str] = []
@@ -301,22 +303,20 @@ def _match_points(src: np.ndarray, dst: np.ndarray, src_edges: tuple,
     nearest-neighbour map src[b, i] -> dst[perm[i]] is a bijection within
     ``tol`` that maps ``src_edges`` onto ``dst_edges``.
 
-    ``src`` is a (K, m, n) stack of point sets and ``dst`` one (m, n) set,
-    or ``src`` is (S, K, m, n) and ``dst`` an (S, 1, 1, m, n) stack, one
-    set per row of src; ``dst`` may carry leading axes of length 1.  One
-    (..., m, m) distance tensor serves them all;
-    only those whose points all lie within ``tol`` get the bijection and
-    edge checks.  Greedy matching is valid because configs forbid
-    near-duplicate points, so within scope any matching below tol is unique.
+    ``src`` is a (..., K, m, n) stack of point sets and ``dst`` a
+    (..., 1, m, n) stack whose leading axes broadcast with src's.  One
+    (..., K, m, m) distance tensor serves them all; only those whose points
+    all lie within ``tol`` get the bijection and edge checks.  Greedy
+    matching is valid because configs forbid near-duplicate points, so
+    within scope any matching below tol is unique.
     """
-    diff = src[..., None, :] - dst
+    diff = src[..., :, None, :] - dst[..., None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=-1))
     m = dist.shape[-1]
     if m == 0:
         return list(range(math.prod(dist.shape[:-2])))
     perms = dist.argmin(axis=-1).reshape(-1, m)
-    # the row minimum is the matched distance, NaN included; written so
-    # that a NaN distance or tolerance fails the match
+    # the row minimum is the matched distance
     close = dist.min(axis=-1).max(axis=-1) <= tol
     wanted = set(dst_edges)
     matched = []
@@ -328,12 +328,19 @@ def _match_points(src: np.ndarray, dst: np.ndarray, src_edges: tuple,
     return matched
 
 
+def _check_tol(tol: float) -> None:
+    # a NaN or negative tol would match no element, not even the identity
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be a non-negative number, got {tol!r}")
+
+
 def config_equal(a: PointConfig, b: PointConfig, tol: float = MATCH_TOL) -> bool:
     """Same point set (within tol) and, under the matching, same edge set."""
+    _check_tol(tol)
     if a.n_points != b.n_points or a.dim != b.dim:
         return False
-    return bool(_match_points(a.points[None], b.points, a.edges, b.edges,
-                              tol))
+    return bool(_match_points(a.points[None], b.points[None], a.edges,
+                              b.edges, tol))
 
 
 def is_invariant(t: OrthoTransform, c: PointConfig,
@@ -344,40 +351,17 @@ def is_invariant(t: OrthoTransform, c: PointConfig,
     induced index permutation must map the edge set onto itself.  An empty
     configuration is invariant under everything.
     """
+    _check_tol(tol)
     _check_dims(t.dim, c)
-    return bool(_match_points(t.apply(c.points)[None], c.points, c.edges,
-                              c.edges, tol))
-
-
-def _check_tol(tol: float) -> None:
-    # a NaN or negative tol would match no element, not even the identity
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be a non-negative number, got {tol!r}")
-
-
-def _matched_images(g: FiniteGroup, points: np.ndarray, edges: tuple,
-                    tol: float) -> list[int]:
-    """Flat indices s * |G| + k where the image under element k of an
-    (m, n) set, or of set s of an (S, 1, m, n) stack of sets that share
-    ``edges``, matches the set.  One (|G|, m, m), or (S, |G|, m, m),
-    distance tensor serves them all, so memory is O(S |G| m^2 n)."""
-    # image [s, k] is bit-identical to g.elements[k].apply(points[s, 0])
-    return _match_points(points @ g.matrices.transpose(0, 2, 1),
-                         points[..., None, :, :], edges, edges, tol)
+    return bool(_match_points(t.apply(c.points)[None], c.points[None],
+                              c.edges, c.edges, tol))
 
 
 def stabilizer(g: FiniteGroup, c: PointConfig,
                tol: float = MATCH_TOL) -> FiniteGroup:
-    """The subgroup of elements leaving the configuration invariant.
-
-    The images under all elements are matched to the config at once (see
-    _matched_images).  The subgroup is the matching rows of the group's
-    stack, which are not checked again.
-    """
-    _check_tol(tol)
-    _check_dims(g.dim, c)
-    kept = _matched_images(g, c.points, c.edges, tol)
-    return _group(g.matrices[kept], tuple(g.labels[k] for k in kept))
+    """The subgroup of elements leaving the configuration invariant, as
+    rows of the group's stack, which are not checked again."""
+    return _stabilizers(g, [c], tol)[0]
 
 
 def _stabilizers(g: FiniteGroup, configs: list[PointConfig],
@@ -397,7 +381,9 @@ def _stabilizers(g: FiniteGroup, configs: list[PointConfig],
         for start in range(0, len(members), size):
             chunk = members[start:start + size]
             points = np.array([configs[i].points for i in chunk])[:, None]
-            for b in _matched_images(g, points, edges, tol):
+            # image [s, k] is g.elements[k].apply(points[s, 0]), bit for bit
+            images = points @ g.matrices.transpose(0, 2, 1)
+            for b in _match_points(images, points, edges, edges, tol):
                 s, k = divmod(b, g.order)
                 kept[chunk[s]].append(k)
     return [_group(g.matrices[rows], tuple(g.labels[k] for k in rows))
@@ -408,6 +394,7 @@ def orbit(g: FiniteGroup, c: PointConfig,
           tol: float = MATCH_TOL) -> list[PointConfig]:
     """Deduplicated images of the configuration under every group element,
     each compared with the images kept so far by ``config_equal``."""
+    _check_tol(tol)
     _check_dims(g.dim, c)
     images: list[PointConfig] = []
     for points in c.points @ g.matrices.transpose(0, 2, 1):
@@ -451,10 +438,8 @@ def classify_ssb(problem_group: FiniteGroup,
 
     Unbroken: every solution keeps the full group.  Narrow breaking: no
     solution does.  General breaking: mixed, and the index of the first fully
-    symmetric solution is reported.  The witnesses are those of
-    :func:`stabilizer`, bit for bit, and the same errors are raised in the
-    same order; the images of all solutions with the same point count and
-    edges are matched at once (see _stabilizers).
+    symmetric solution is reported.  The witnesses are the solutions'
+    stabilizers, whose images are matched at once (see _stabilizers).
     """
     sols = list(solutions)
     if not sols:

@@ -126,6 +126,23 @@ def test_none_means_not_given():
     assert resolve_config("maxwell", {"grid": None})["grid"] == 32
 
 
+def test_flag_help_names_its_default():
+    # each flag's dest is its config key, and its help reads DEFAULTS
+    subparsers = next(action for action in cli._build_parser()._actions
+                      if action.dest == "subcommand").choices
+    named = set()
+    for sub, defaults in cli.DEFAULTS.items():
+        for action in subparsers[sub]._actions:
+            if defaults.get(action.dest) is not None:
+                assert f"(default {defaults[action.dest]:g})" in action.help
+                named.add((sub, action.dest))
+    assert named == {("steiner", "seed"), ("steiner", "side"),
+                     ("ode", "seed"), ("maxwell", "grid"),
+                     ("potential", "n"), ("potential", "q"),
+                     ("potential", "mu"), ("potential", "lam"),
+                     ("classify", "seed")}
+
+
 # ---------------------------------------------------------------------------
 # subcommands through main()
 # ---------------------------------------------------------------------------

@@ -24,7 +24,13 @@ def test_every_layer_is_timed_and_counted_once():
     assert cold["import_cli"]["us_per_call"] > 0
     assert cold["import_cli"]["files_run"] == 3  # __init__, cli, report
     result.update(cold)
-    report = layers.compare({"change": [result], "parent": [result]})
+    report = layers.compare({"change": [result], "parent": [result]},
+                            {"change": layers.ROOT, "parent": layers.ROOT})
+    lines = report.pop("src_lines")
+    src = pathlib.Path(layers.ROOT) / "src"
+    assert lines == dict.fromkeys(("change", "parent"), sum(
+        len(path.read_text().splitlines()) for path in src.rglob("*.py")))
     assert all(row["ratio"] == 1.0 for row in report.values())
-    text = layers.format_report(report)
+    text = layers.format_report({**report, "src_lines": lines})
     assert all(layer in text for layer in [*layers.LAYERS, "import_cli"])
+    assert f"src/ lines: parent {lines['parent']}, change " in text

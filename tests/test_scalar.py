@@ -440,6 +440,13 @@ def _wide_coefficients(draw):
           -2.9547254679235374e+27, 1.5091536397151335e+26,
           -2.714929463715223e-26, -1.5805905301260298e+21,
           -1.1733276575518402e-20], None)
+# p' overflows past about 1e40, and near its root at 3.8e47 it is finite
+# nowhere; the search once put that root at 3.29e49, losing two roots
+@example([-2.435670427049139e-21, 1.0658587084233997e+17,
+          5.159633001236197e+23, -7.371918592711731e-06,
+          1.0593636499629579e+17, -1.7998304242281277e+20,
+          1873.4029214139182, -2.384358637363404e+25,
+          1.5404640301285174e+23, -3.6398160133580513e-25], None)
 def test_wide_coefficients_keep_the_exact_sturm_count(coeffs, bracket):
     p = Polynomial(tuple(coeffs))
     if bracket is None:

@@ -27,8 +27,9 @@ and each default subcommand ``python -m ssb_lab SUB --out TMP``.  They
 inherit the environment, so whether sources are compiled on every start
 depends on PYTHONDONTWRITEBYTECODE there.  Their counter, taken in an
 untimed run with an ``exec`` audit hook, is the number of ``ssb_lab``
-files the interpreter runs.  Each side runs ROUNDS rounds.  Without ``--against`` the current tree
-is measured alone.  Nothing here is a gate.
+files the interpreter runs.  Each side runs ROUNDS rounds.  Next to the
+timings, the report gives each tree's ``src/`` line count.  Without
+``--against`` the current tree is measured alone.  Nothing here is a gate.
 """
 
 from __future__ import annotations
@@ -207,14 +208,27 @@ def cold(tree: str, names=tuple(COLD)) -> dict:
     return out
 
 
+def src_lines(tree: str) -> int:
+    """The number of lines of the Python files under ``tree``'s src/."""
+    total = 0
+    for folder, _, names in os.walk(os.path.join(tree, "src")):
+        for name in names:
+            if name.endswith(".py"):
+                with open(os.path.join(folder, name)) as handle:
+                    total += sum(1 for _ in handle)
+    return total
+
+
 def _quartiles(xs: list[float]) -> dict:
     q1, median, q3 = np.percentile(xs, [25, 50, 75])
     return {"q1": float(q1), "median": float(median), "q3": float(q3)}
 
 
-def compare(runs: dict[str, list[dict]]) -> dict:
+def compare(runs: dict[str, list[dict]], sides: dict[str, str]) -> dict:
     """Per layer and side, the quartiles of the rounds' us per call and the
-    first round's counters; with two sides, the change/parent ratio."""
+    first round's counters, and under "src_lines" each side's src/ line
+    count (sides maps each side to its tree); with two sides, the
+    change/parent ratio."""
     report = {}
     for layer in next(iter(runs.values()))[0]:
         row = {}
@@ -226,6 +240,8 @@ def compare(runs: dict[str, list[dict]]) -> dict:
         if "parent" in row:
             row["ratio"] = row["change"]["median"] / row["parent"]["median"]
         report[layer] = row
+    report["src_lines"] = {side: src_lines(tree)
+                           for side, tree in sides.items()}
     return report
 
 
@@ -233,6 +249,11 @@ def format_report(report: dict) -> str:
     lines = [f"{'layer':16} {'side':7} {'q1':>9} {'median':>9} {'q3':>9}  "
              "counters per call"]
     for layer, row in report.items():
+        if layer == "src_lines":
+            lines.append("src/ lines: " + ", ".join(
+                f"{side} {row[side]}" for side in ("parent", "change")
+                if side in row))
+            continue
         for side in ("parent", "change"):
             if side not in row:
                 continue
@@ -266,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
         order = list(sides) if i % 2 == 0 else list(reversed(sides))
         for side in order:
             runs[side].append({**_child(sides[side]), **cold(sides[side])})
-    report = compare(runs)
+    report = compare(runs, sides)
     print(json.dumps(report) if args.json else format_report(report))
     return 0
 
