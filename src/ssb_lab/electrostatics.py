@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -193,8 +194,9 @@ def laplacian_residual(sol: PotentialSolution, point: np.ndarray,
     x = np.asarray(point, dtype=float)
     if x.shape != (sol.n,):
         raise ValueError(f"point must be an {sol.n}-vector, got {x.shape}")
-    if h <= 0:
-        raise ValueError(f"step must be positive, got {h}")
+    if not h > 0:
+        raise ValueError(f"step h must be positive, got {h}")
+    _scaled_power(1.0, h, 2, "h")  # the stencil divides by h * h
     r = float(np.linalg.norm(x))
     if r <= _LAPLACIAN_MIN_R_OVER_H * h:
         raise ValueError(f"need r > {_LAPLACIAN_MIN_R_OVER_H} h to stay away "
@@ -219,6 +221,22 @@ def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def _quad_points(quad_points: int | None, default: int, least: int) -> int:
+    """``quad_points`` (``default`` for None) as an int of at least
+    ``least``, or ValueError naming it: a float or a string is not
+    truncated or parsed into a node count."""
+    if quad_points is None:
+        return default
+    try:
+        m = operator.index(quad_points)
+    except TypeError:
+        raise ValueError(f"quad_points must be an integer, got "
+                         f"{quad_points!r}") from None
+    if m < least:
+        raise ValueError(f"need at least {least} quadrature points, got {m}")
+    return m
+
+
 def flux_integral(sol: PotentialSolution, radius: float,
                   quad_points: int | None = None) -> float:
     """Numerical flux of E through the origin-centered sphere of ``radius``.
@@ -232,18 +250,14 @@ def flux_integral(sol: PotentialSolution, radius: float,
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
     if sol.n == 2:
-        m = DEFAULT_QUAD_POINTS_2D if quad_points is None else int(quad_points)
-        if m < 4:
-            raise ValueError(f"need at least 4 quadrature points, got {m}")
+        m = _quad_points(quad_points, DEFAULT_QUAD_POINTS_2D, 4)
         theta = 2.0 * math.pi * np.arange(m) / m
         normals = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
         integrand = np.sum(field_vector(sol, radius * normals) * normals,
                            axis=-1)
         return float(np.sum(integrand) * (2.0 * math.pi * radius / m))
     if sol.n == 3:
-        m = DEFAULT_QUAD_POINTS_3D if quad_points is None else int(quad_points)
-        if m < 2:
-            raise ValueError(f"need at least 2 quadrature points, got {m}")
+        m = _quad_points(quad_points, DEFAULT_QUAD_POINTS_3D, 2)
         u, w = _gauss_legendre(m)  # u = cos(theta)
         n_phi = 2 * m
         phi = 2.0 * math.pi * np.arange(n_phi) / n_phi

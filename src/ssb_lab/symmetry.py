@@ -11,8 +11,9 @@ and, if edges are present, to permute the edge set.  One matcher compares
 a stack of K images with their target set for every match.  A stabilizer is
 the classification's match of one configuration: the |G| images of every
 solution with the same point count and edges are matched together, in
-(S, |G|, m, m) distance tensors of bounded size; an orbit compares its
-images pairwise.  A NaN or negative tolerance is rejected by name.
+(S, |G|, m, m) distance tensors of bounded size; an orbit matches all
+pairs of its images together, in (rows, |G|, m, m) tensors of the same
+bound.  A NaN or negative tolerance is rejected by name.
 
 The classification at the bottom turns a problem group and a list of solution
 configurations into a verdict: unbroken symmetry (every solution keeps the
@@ -37,8 +38,9 @@ MATCH_TOL = 1e-10
 # squared distances overflow (past 1.8e308) from coordinates of about 1e154
 MAX_COORDINATE = 1e150
 _ASSOCIATIVITY_MAX_ORDER = 16
-# classify_ssb matches configs of one size and wiring together, in distance
-# tensors whose (S, |G|, m, m, n) differences take at most this many bytes
+# classify_ssb matches configs of one size and wiring together, and orbit
+# the pairs of one config's images, in distance tensors whose differences,
+# (S, |G|, m, m, n) or (rows, |G|, m, m, n), take at most this many bytes
 _MATCH_BYTES = 2**20
 
 
@@ -328,6 +330,13 @@ def _match_points(src: np.ndarray, dst: np.ndarray, src_edges: tuple,
     return matched
 
 
+def _chunk(k: int, m: int, n: int) -> int:
+    """How many stacks of k images of m points in n-d one match takes: as
+    many as keep its (..., k, m, m, n) differences within _MATCH_BYTES, or
+    one if that is more."""
+    return max(1, _MATCH_BYTES // max(1, 8 * k * m * m * n))
+
+
 def _check_tol(tol: float) -> None:
     # a NaN or negative tol would match no element, not even the identity
     if not tol >= 0.0:
@@ -377,7 +386,7 @@ def _stabilizers(g: FiniteGroup, configs: list[PointConfig],
         batches.setdefault((c.n_points, c.edges), []).append(i)
     kept: list[list[int]] = [[] for _ in configs]
     for (m, edges), members in batches.items():
-        size = max(1, _MATCH_BYTES // max(1, 8 * g.order * m * m * g.dim))
+        size = _chunk(g.order, m, g.dim)
         for start in range(0, len(members), size):
             chunk = members[start:start + size]
             points = np.array([configs[i].points for i in chunk])[:, None]
@@ -392,16 +401,29 @@ def _stabilizers(g: FiniteGroup, configs: list[PointConfig],
 
 def orbit(g: FiniteGroup, c: PointConfig,
           tol: float = MATCH_TOL) -> list[PointConfig]:
-    """Deduplicated images of the configuration under every group element,
-    each compared with the images kept so far by ``config_equal``."""
+    """Deduplicated images of the configuration under every group element:
+    image j is kept unless ``config_equal(image_j, image_i)`` holds for a
+    kept image i < j.  All pairs are matched at once, in (rows, |G|, m, m)
+    distance tensors whose differences take at most _MATCH_BYTES, or one
+    row's if that is more."""
     _check_tol(tol)
     _check_dims(g.dim, c)
-    images: list[PointConfig] = []
-    for points in c.points @ g.matrices.transpose(0, 2, 1):
-        image = PointConfig(points, c.edges)
-        if not any(config_equal(image, seen, tol) for seen in images):
-            images.append(image)
-    return images
+    stack = c.points @ g.matrices.transpose(0, 2, 1)
+    images = [PointConfig(points, c.edges) for points in stack]
+    k, m, n = stack.shape
+    # matches[j]: the images i with config_equal(image_j, image_i)
+    matches: list[list[int]] = [[] for _ in images]
+    rows = _chunk(k, m, n)
+    for start in range(0, k, rows):
+        dst = stack[start:start + rows, None]
+        src = np.broadcast_to(stack, (len(dst), k, m, n))
+        for b in _match_points(src, dst, c.edges, c.edges, tol):
+            i, j = divmod(b, k)
+            matches[j].append(start + i)
+    kept = [False] * k
+    for j in range(k):  # no image i >= j is kept yet
+        kept[j] = not any(kept[i] for i in matches[j])
+    return [image for image, keep in zip(images, kept) if keep]
 
 
 # ---------------------------------------------------------------------------

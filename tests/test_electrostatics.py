@@ -303,6 +303,14 @@ def test_flux_quad_points_override():
                                                                     abs=1e-4)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("quad_points", [2.5, "8", math.nan])
+def test_flux_names_a_quad_points_that_is_not_an_integer(n, quad_points):
+    # int() would run 2 nodes for 2.5, parse "8" and fail on NaN unnamed
+    with pytest.raises(ValueError, match="^quad_points must be an integer"):
+        flux_integral(PotentialSolution(n=n, q=1.0), 1.0, quad_points)
+
+
 def test_gauss_legendre_nodes_are_cached_read_only():
     nodes, weights = _gauss_legendre(DEFAULT_QUAD_POINTS_3D)
     assert _gauss_legendre(DEFAULT_QUAD_POINTS_3D)[0] is nodes
@@ -374,6 +382,16 @@ def test_laplacian_guards_against_stencil_reaching_the_charge():
     sol = PotentialSolution(n=3, q=1.0)
     with pytest.raises(ValueError):
         laplacian_residual(sol, np.array([0.05, 0.0, 0.0]), 1e-2)
+
+
+@pytest.mark.parametrize("h", [math.nan, 1e-320, math.inf, 1e-160, 1e155],
+                         ids=["nan", "1e-320", "inf", "1e-160", "1e155"])
+def test_laplacian_names_a_step_whose_square_is_not_a_normal_float(h):
+    # NaN passed a h <= 0 guard and 1e-320 divided by h * h = 0.0
+    sol = PotentialSolution(n=3, q=1.0)
+    with pytest.raises(ValueError, match=r"^(step h must be positive, got "
+                                         r"nan|h = .* is not a normal float)$"):
+        laplacian_residual(sol, np.array([1.0, 0.0, 0.0]), h)
 
 
 def test_laplacian_checks_point_dimension():

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import importlib.util
+import os
 import pathlib
+
+import pytest
 
 _PATH = pathlib.Path(__file__).resolve().parents[1] / "tools" / "layers.py"
 _SPEC = importlib.util.spec_from_file_location("layers", _PATH)
@@ -34,3 +37,14 @@ def test_every_layer_is_timed_and_counted_once():
     text = layers.format_report({**report, "src_lines": lines})
     assert all(layer in text for layer in [*layers.LAYERS, "import_cli"])
     assert f"src/ lines: parent {lines['parent']}, change " in text
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="no CPU affinity on this platform")
+def test_children_pin_to_the_highest_allowed_cpu():
+    allowed = os.sched_getaffinity(0)
+    try:
+        layers._one_cpu()
+        assert os.sched_getaffinity(0) == {max(allowed)}
+    finally:
+        os.sched_setaffinity(0, allowed)

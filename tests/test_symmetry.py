@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ssb_lab import symmetry
 from ssb_lab.symmetry import (MATCH_TOL, FiniteGroup, OrthoTransform,
                               PointConfig, SSBKind, classify_ssb,
                               config_equal, cyclic_group, dihedral_group,
@@ -550,7 +551,8 @@ def test_classification_rejects_what_one_stabilizer_per_solution_did():
 def test_group_action_memory_stays_bounded():
     # |G| = 200 and m = 10: a stabilizer's (200, 10, 10, 2) difference
     # tensor takes 320 kB; one over all pairs of images at once, (200, 200,
-    # 10, 10, 2), would take 64 MB
+    # 10, 10, 2), would take 64 MB, so the orbit matches them 3 rows (960
+    # kB) at a time
     g = dihedral_group(100)
     c = PointConfig(np.random.default_rng(7).uniform(-1.0, 1.0, (10, 2)))
     tracemalloc.start()
@@ -564,6 +566,38 @@ def test_group_action_memory_stays_bounded():
     assert len(images) == 200 and stab.order == 1
     assert verdict.kind is SSBKind.NARROW
     assert peak < 8 * 2**20
+
+
+def _orbit_matches(monkeypatch, g, c):
+    """The orbit of c under g, and the number of _match_points calls it
+    makes."""
+    calls = []
+    match = symmetry._match_points
+    monkeypatch.setattr(symmetry, "_match_points",
+                        lambda *args: calls.append(1) or match(*args))
+    return orbit(g, c), len(calls)
+
+
+def test_orbit_matches_its_images_in_one_tensor_per_row_chunk(monkeypatch):
+    # the groups and point counts of the verdict_sweep workload take one
+    rng = np.random.default_rng(11)
+    for k, m in itertools.product(range(2, 13), range(1, 4)):
+        c = PointConfig(rng.uniform(-1.0, 1.0, (m, 2)))
+        assert _orbit_matches(monkeypatch, dihedral_group(k), c)[1] == 1
+    # the memory test's |G| = 200, m = 10 takes one per chunk of rows
+    c = PointConfig(np.random.default_rng(7).uniform(-1.0, 1.0, (10, 2)))
+    rows = symmetry._MATCH_BYTES // (8 * 200 * 10 * 10 * 2)
+    images, calls = _orbit_matches(monkeypatch, dihedral_group(100), c)
+    assert len(images) == 200 and calls == math.ceil(200 / rows)
+
+
+def test_orbit_checks_every_image():
+    # every image is a PointConfig with its checks: the 45-degree image of
+    # (1e150, 1e150) is (0, 1.4e150), past the coordinate bound
+    c = PointConfig([[1e150, 1e150], [0.5, 0.0]])
+    with pytest.raises(ValueError, match=r"^coordinates must be at most "
+                                         r"1e\+150 in magnitude$"):
+        orbit(dihedral_group(8), c)
 
 
 def test_generic_point_has_full_orbit():

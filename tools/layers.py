@@ -6,10 +6,10 @@ Run from the root of a source checkout.  PATH is the root of another
 checkout, such as a copy of the parent commit.  Each round runs one fresh
 subprocess per tree, both from this file, so both trees are measured by the
 same code; which tree goes first alternates from round to round.  Each
-subprocess pins itself to one CPU, imports ``ssb_lab`` from its tree's
-``src/``, builds the seeded inputs, and times every layer over them: one
-untimed warm-up pass, then the fastest of REPEATS timed passes, as other
-load on the machine only adds time.  The report gives, per layer, the
+subprocess pins itself to the highest CPU it may use, imports ``ssb_lab``
+from its tree's ``src/``, builds the seeded inputs, and times every layer
+over them: one untimed warm-up pass, then the fastest of REPEATS timed
+passes, as other load on the machine only adds time.  The report gives, per layer, the
 median and quartiles of the rounds' microseconds per call on each side and
 the change/parent ratio of the medians, next to work counters taken in an
 untimed pass: evaluations of ``Polynomial.__call__`` per call, and the
@@ -21,7 +21,7 @@ file: its even polynomials, and its dihedral groups with the points they act
 on.
 
 The cold layers are fresh interpreters, timed from start to exit (a call
-is one run), one run of each per round, pinned to one CPU and in the same
+is one run), one run of each per round, pinned to that CPU and in the same
 alternating order: ``import_cli`` runs ``python -c "import ssb_lab.cli"``,
 and each default subcommand ``python -m ssb_lab SUB --out TMP``.  They
 inherit the environment, so whether sources are compiled on every start
@@ -164,9 +164,11 @@ def measure(n: int | None = None, repeats: int = REPEATS) -> dict:
 
 
 def _one_cpu() -> None:
-    """Pin the calling process to one CPU."""
+    """Pin the calling process to the highest CPU it may use.  perfbench
+    pins itself to the lowest; on a shared 2-CPU host, A/A runs (a tree
+    against a copy of itself) pinned to the highest read steadier."""
     if hasattr(os, "sched_setaffinity"):
-        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
 
 
 def _env(tree: str) -> dict[str, str]:
