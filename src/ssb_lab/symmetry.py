@@ -8,12 +8,18 @@ positioned with their symmetry center at the origin, as the square of
 matrix distance below a tolerance; invariance of a point configuration is a
 greedy nearest-neighbour matching that is then verified to be a bijection
 and, if edges are present, to permute the edge set.  One matcher compares
-a stack of K images with their target set for every match.  A stabilizer is
-the classification's match of one configuration: the |G| images of every
-solution with the same point count and edges are matched together, in
-(S, |G|, m, m) distance tensors of bounded size; an orbit matches all
-pairs of its images together, in (rows, |G|, m, m) tensors of the same
-bound.  A NaN or negative tolerance is rejected by name.
+a stack of K images with their target set for every match, and checks the
+bijection and the edges of every close image in array operations.  A
+stabilizer is the classification's match of one configuration: the |G|
+images of every solution with the same point count and edges are matched
+together, in (S, |G|, m, m) distance tensors of bounded size; an orbit
+matches all pairs of its images together, in (rows, |G|, m, m) tensors of
+the same bound.  A NaN or negative tolerance is rejected by name.
+
+Point sets are likewise validated as stacks: one check of a (K, m, n)
+stack (finite, within MAX_COORDINATE, no two points within MATCH_TOL)
+serves a PointConfig, a stack of one, and an orbit, which checks its |G|
+images once and gives the message of the first bad one.
 
 The classification at the bottom turns a problem group and a list of solution
 configurations into a verdict: unbroken symmetry (every solution keeps the
@@ -40,7 +46,8 @@ MAX_COORDINATE = 1e150
 _ASSOCIATIVITY_MAX_ORDER = 16
 # classify_ssb matches configs of one size and wiring together, and orbit
 # the pairs of one config's images, in distance tensors whose differences,
-# (S, |G|, m, m, n) or (rows, |G|, m, m, n), take at most this many bytes
+# (S, |G|, m, m, n) or (rows, |G|, m, m, n), take at most this many bytes;
+# so do the pair differences of the duplicate check of a stack of point sets
 _MATCH_BYTES = 2**20
 
 
@@ -235,10 +242,13 @@ def sign_flip_group() -> FiniteGroup:
 # configurations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PointConfig:
     """A finite set of labelled points, optionally wired by undirected edges.
 
+    The points are a read-only (m, n) float array: finite, at most
+    MAX_COORDINATE in magnitude, and no two within MATCH_TOL, as checked by
+    _check_points on a stack of one.
     Edges are index pairs into ``points`` and are stored normalized (each pair
     sorted, the whole tuple sorted) so two configs with the same wiring compare
     deterministically.  An empty edge tuple means "no edge structure".
@@ -247,28 +257,15 @@ class PointConfig:
     points: np.ndarray
     edges: tuple[tuple[int, int], ...] = ()
 
-    def __post_init__(self) -> None:
-        pts = np.array(self.points, dtype=float)
+    def __init__(self, points: np.ndarray, edges=()) -> None:
+        pts = np.array(points, dtype=float)
         if pts.ndim != 2:
             raise ValueError(f"points must be an (m, n) array, got shape "
                              f"{pts.shape}")
-        if not all(map(math.isfinite, pts.flat)):
-            bad = np.flatnonzero(~np.isfinite(pts).all(axis=1)).tolist()
-            raise ValueError(f"points {bad} have non-finite coordinates: "
-                             f"{pts[bad].tolist()}")
-        if any(abs(x) > MAX_COORDINATE for x in pts.flat):
-            raise ValueError(f"coordinates must be at most "
-                             f"{MAX_COORDINATE:g} in magnitude")
+        _check_points(pts[None])
         m = pts.shape[0]
-        if m >= 2:
-            # duplicate points make matching ill-defined
-            diff = pts[:, None, :] - pts[None, :, :]
-            dist = np.sqrt(np.sum(diff * diff, axis=-1))
-            dist[np.diag_indices(m)] = np.inf
-            if float(dist.min()) <= MATCH_TOL:
-                raise ValueError("configuration contains duplicate points")
         norm_edges = []
-        for i, j in self.edges:
+        for i, j in edges:
             i, j = int(i), int(j)
             if i == j:
                 raise ValueError(f"self-edge at index {i}")
@@ -276,8 +273,8 @@ class PointConfig:
                 raise ValueError(f"edge ({i}, {j}) out of range for {m} points")
             norm_edges.append((min(i, j), max(i, j)))
         pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "edges", tuple(sorted(set(norm_edges))))
+        _config(pts, tuple(sorted(set(norm_edges))) if norm_edges else (),
+                self)
 
     @property
     def n_points(self) -> int:
@@ -286,6 +283,66 @@ class PointConfig:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
+
+
+@functools.lru_cache
+def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs i < j of m points, as two read-only arrays, kept for
+    the most recent point counts."""
+    pairs = np.triu_indices(m, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
+def _check_points(stack: np.ndarray) -> np.ndarray:
+    """Return the (K, m, n) stack if each of its K point sets would make a
+    valid PointConfig, else raise PointConfig's ValueError for the first
+    set that would not: one with non-finite points, a coordinate past
+    MAX_COORDINATE, or two points within MATCH_TOL.  The duplicate check
+    runs over the m(m - 1)/2 pairs of each set, in chunks of sets whose
+    pair differences take at most _MATCH_BYTES, or one set's if that is
+    more."""
+    k, m, n = stack.shape
+    # one reduction catches NaN, +-inf and the bound together; which set
+    # failed, and how, is worked out only then
+    bad = stack.size > 0 and not (
+        np.maximum.reduce(np.abs(stack), None) <= MAX_COORDINATE)
+    if bad:
+        # only the sets before the first bad one are checked for duplicates,
+        # as PointConfig checks a set's coordinates before its duplicates
+        k = int((~(np.abs(stack) <= MAX_COORDINATE)).any(axis=(1, 2))
+                .argmax())
+    if m > 1:
+        i, j = _pairs(m)
+        size = _chunk(1, m, n)
+        for start in range(0, k, size):
+            part = stack[start:min(k, start + size)]
+            diff = part[:, i] - part[:, j]
+            # sqrt is monotone, so the root of the least square is the
+            # least distance
+            if math.sqrt((diff * diff).sum(axis=-1).min()) <= MATCH_TOL:
+                # duplicate points make matching ill-defined
+                raise ValueError("configuration contains duplicate points")
+    if bad:
+        pts = stack[k]
+        rows = np.flatnonzero(~np.isfinite(pts).all(axis=1)).tolist()
+        if rows:
+            raise ValueError(f"points {rows} have non-finite coordinates: "
+                             f"{pts[rows].tolist()}")
+        raise ValueError(f"coordinates must be at most "
+                         f"{MAX_COORDINATE:g} in magnitude")
+    return stack
+
+
+def _config(points: np.ndarray, edges: tuple,
+            c: PointConfig | None = None) -> PointConfig:
+    """The config (c, if given) of read-only points and normalized edges
+    validated already."""
+    c = object.__new__(PointConfig) if c is None else c
+    object.__setattr__(c, "points", points)
+    object.__setattr__(c, "edges", edges)
+    return c
 
 
 def _check_dims(dim: int, c: PointConfig) -> None:
@@ -306,28 +363,36 @@ def _match_points(src: np.ndarray, dst: np.ndarray, src_edges: tuple,
     ``tol`` that maps ``src_edges`` onto ``dst_edges``.
 
     ``src`` is a (..., K, m, n) stack of point sets and ``dst`` a
-    (..., 1, m, n) stack whose leading axes broadcast with src's.  One
-    (..., K, m, m) distance tensor serves them all; only those whose points
-    all lie within ``tol`` get the bijection and edge checks.  Greedy
-    matching is valid because configs forbid near-duplicate points, so
-    within scope any matching below tol is unique.
+    (..., 1, m, n) stack whose leading axes broadcast with src's; the edges
+    are normalized as PointConfig stores them.  One (..., K, m, m) distance
+    tensor serves them all.  The rows whose points all lie within ``tol``
+    are checked together: each map is a bijection if it hits every target
+    point, and then maps the edges onto ``dst_edges`` if every mapped edge,
+    coded min * m + max, is one of theirs, as the counts agree.  Neither
+    check sorts: numpy's sort, used nowhere else in a run of the CLI, adds
+    about 0.4 MB of code to a cold run's peak RSS.  Greedy matching is
+    valid because configs forbid near-duplicate points, so within scope any
+    matching below tol is unique.
     """
     diff = src[..., :, None, :] - dst[..., None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=-1))
     m = dist.shape[-1]
     if m == 0:
         return list(range(math.prod(dist.shape[:-2])))
-    perms = dist.argmin(axis=-1).reshape(-1, m)
+    if len(src_edges) != len(dst_edges):
+        return []
     # the row minimum is the matched distance
-    close = dist.min(axis=-1).max(axis=-1) <= tol
-    wanted = set(dst_edges)
-    matched = []
-    for b in np.flatnonzero(close).tolist():
-        p = perms[b].tolist()
-        if len(set(p)) == m and wanted == {
-                (min(p[i], p[j]), max(p[i], p[j])) for i, j in src_edges}:
-            matched.append(b)
-    return matched
+    rows = (dist.min(axis=-1).max(axis=-1) <= tol).reshape(-1).nonzero()[0]
+    perms = dist.reshape(-1, m, m)[rows].argmin(axis=-1)
+    hit = np.zeros((len(rows), m), dtype=bool)
+    hit[np.arange(len(rows))[:, None], perms] = True
+    ok = hit.all(axis=1)
+    if src_edges:
+        ends = perms[:, np.array(src_edges)]
+        wanted = np.zeros(m * m, dtype=bool)
+        wanted[[i * m + j for i, j in dst_edges]] = True
+        ok &= wanted[ends.min(axis=-1) * m + ends.max(axis=-1)].all(axis=1)
+    return rows[ok].tolist()
 
 
 def _chunk(k: int, m: int, n: int) -> int:
@@ -395,21 +460,27 @@ def _stabilizers(g: FiniteGroup, configs: list[PointConfig],
             for b in _match_points(images, points, edges, edges, tol):
                 s, k = divmod(b, g.order)
                 kept[chunk[s]].append(k)
-    return [_group(g.matrices[rows], tuple(g.labels[k] for k in rows))
-            for rows in kept]
+    # configs with the same rows share one group, as groups are immutable
+    groups = {rows: _group(g.matrices[list(rows)],
+                           tuple(g.labels[k] for k in rows))
+              for rows in set(map(tuple, kept))}
+    return [groups[tuple(rows)] for rows in kept]
 
 
 def orbit(g: FiniteGroup, c: PointConfig,
           tol: float = MATCH_TOL) -> list[PointConfig]:
     """Deduplicated images of the configuration under every group element:
     image j is kept unless ``config_equal(image_j, image_i)`` holds for a
-    kept image i < j.  All pairs are matched at once, in (rows, |G|, m, m)
+    kept image i < j.  The (|G|, m, n) image stack is checked once, as
+    PointConfig would check each image in turn, and the images are views
+    of it, read-only.  All pairs are matched at once, in (rows, |G|, m, m)
     distance tensors whose differences take at most _MATCH_BYTES, or one
     row's if that is more."""
     _check_tol(tol)
     _check_dims(g.dim, c)
-    stack = c.points @ g.matrices.transpose(0, 2, 1)
-    images = [PointConfig(points, c.edges) for points in stack]
+    stack = _check_points(c.points @ g.matrices.transpose(0, 2, 1))
+    stack.flags.writeable = False
+    images = [_config(points, c.edges) for points in stack]
     k, m, n = stack.shape
     # matches[j]: the images i with config_equal(image_j, image_i)
     matches: list[list[int]] = [[] for _ in images]

@@ -20,9 +20,19 @@ def test_every_layer_is_timed_and_counted_once():
     assert all(r["us_per_call"] > 0.0 for r in result.values())
     for layer in ("real_roots", "critical_points"):
         assert result[layer]["evaluations"] > 0
-    for layer in ("stabilizer", "orbit", "classify_ssb"):
+    for layer in ("stabilizer", "orbit", "classify_ssb", "sign_flip"):
         assert result[layer]["matched_images"] >= result[layer][
             "match_tensors"] > 0
+    # a config of each group input's points and one of each root
+    _, group_inputs, _ = layers._inputs(2)
+    configs = len(layers._calls(2)["point_config"])
+    roots = configs - len(group_inputs)
+    points = sum(len(pts) for _, pts in group_inputs) + roots
+    assert result["point_config"]["validated_points"] == points / configs
+    assert result["sign_flip"]["validated_points"] == roots / 2
+    # an orbit checks the points of its 2k images under D_k once
+    assert result["orbit"]["validated_points"] == sum(
+        2 * k * len(pts) for k, pts in group_inputs) / len(group_inputs)
     cold = layers.cold(layers.ROOT, ("import_cli",))
     assert cold["import_cli"]["us_per_call"] > 0
     assert cold["import_cli"]["files_run"] == 3  # __init__, cli, report

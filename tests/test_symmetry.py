@@ -416,6 +416,71 @@ def _reference_orbit(g, c):
     return images
 
 
+def _pair_loop_match(src, dst, src_edges, dst_edges, tol):
+    """_match_points as it was before it checked its rows in arrays: the
+    bijection and edge checks run in Python, once per close row."""
+    diff = src[..., :, None, :] - dst[..., None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=-1))
+    m = dist.shape[-1]
+    if m == 0:
+        return list(range(math.prod(dist.shape[:-2])))
+    perms = dist.argmin(axis=-1).reshape(-1, m)
+    close = dist.min(axis=-1).max(axis=-1) <= tol
+    wanted = set(dst_edges)
+    matched = []
+    for b in np.flatnonzero(close).tolist():
+        p = perms[b].tolist()
+        if len(set(p)) == m and wanted == {
+                (min(p[i], p[j]), max(p[i], p[j])) for i, j in src_edges}:
+            matched.append(b)
+    return matched
+
+
+@st.composite
+def _match_cases(draw):
+    """(L, K, m, n) image stacks, (L, 1, m, n) targets, normalized edges and
+    a tolerance: images are targets permuted and moved by nothing, by half
+    the tolerance or by more, some with two points nearest one target; the
+    target edges are the source edges mapped by one permutation, or those
+    with one edge more, less or swapped."""
+    lead, k = draw(st.integers(1, 2)), draw(st.integers(0, 4))
+    m, n = draw(st.integers(0, 4)), draw(st.integers(1, 3))
+    tol = draw(st.sampled_from([0.0, 1e-3]))
+    coords = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    dst = np.array([draw(st.lists(coords, min_size=m, max_size=m,
+                                  unique_by=tuple)) for _ in range(lead)],
+                   dtype=float).reshape(lead, 1, m, n) / 4.0
+    base = draw(st.permutations(range(m)))
+    src = np.empty((lead, k, m, n))
+    for a, b in itertools.product(range(lead), range(k)):
+        perm = base if draw(st.booleans()) else draw(st.permutations(range(m)))
+        src[a, b] = dst[a, 0, perm]
+        for i in range(m):
+            src[a, b, i, 0] += draw(st.sampled_from([0.0, 0.0, 0.5, 3.0])) \
+                * tol
+        if m >= 2 and draw(st.integers(0, 3)) == 0:  # not a bijection
+            src[a, b, 0] = src[a, b, 1] + 1e-9
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    src_edges = sorted(draw(st.lists(st.sampled_from(pairs), unique=True))) \
+        if pairs else []
+    dst_edges = {(min(base[i], base[j]), max(base[i], base[j]))
+                 for i, j in src_edges}
+    change = draw(st.sampled_from(["same", "same", "more", "less", "swap"]))
+    spare = sorted(set(pairs) - dst_edges)
+    if change in ("more", "swap") and spare:
+        dst_edges.add(draw(st.sampled_from(spare)))
+    if change in ("less", "swap") and src_edges:
+        dst_edges.discard(draw(st.sampled_from(sorted(dst_edges))))
+    return src, dst, tuple(src_edges), tuple(sorted(dst_edges)), tol
+
+
+# the array matcher finds the rows the per-row loop found
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_match_cases())
+def test_array_matcher_finds_what_the_pair_loop_found(case):
+    assert symmetry._match_points(*case) == _pair_loop_match(*case)
+
+
 @st.composite
 def _groups_and_configs(draw):
     """Dihedral and cyclic groups up to order 32, and 0-6 points that are
@@ -600,6 +665,130 @@ def test_orbit_checks_every_image():
         orbit(dihedral_group(8), c)
 
 
+# pairs of points just above MATCH_TOL apart whose images under D12 are
+# computed within it: first under r30 (the group's second element), and
+# first under r120 (its fifth); and a point whose r60 image (the third)
+# leaves the coordinate bound
+_NEAR_PAIR = [[0.443, 0.051], [0.4429999999630463, 0.051000000092921605]]
+_LATE_PAIR = [[0.274, -0.46], [0.27400000009670444, -0.45999999997453905]]
+_HUGE = [9.866772518252039e+149, 3.5912115049195216e+149]
+
+
+@st.composite
+def _orbit_check_cases(draw):
+    """Dihedral and cyclic groups up to order 24, and valid configs of up
+    to 4 points that are generic, near the coordinate bound, or pairs just
+    above MATCH_TOL apart, with or without edges."""
+    k = draw(st.integers(1, 12))
+    g = dihedral_group(k) if draw(st.booleans()) else cyclic_group(k)
+    points = []
+    for kind in draw(st.lists(st.sampled_from(["generic", "huge", "pair"]),
+                              max_size=3)):
+        theta = 2.0 * math.pi * draw(st.integers(0, 47)) / 48
+        if kind == "generic":
+            r = draw(st.integers(1, 1000)) / 1000.0
+            new = [[r * math.cos(theta), r * math.sin(theta)]]
+        elif kind == "huge":
+            r = 1e150 * draw(st.sampled_from([1.0, 1.05, 1.2, math.sqrt(2)]))
+            new = [[r * math.cos(theta), r * math.sin(theta)]]
+        else:
+            x = draw(st.integers(-1000, 1000)) / 1000.0
+            d = MATCH_TOL * (1.0 + draw(st.integers(1, 1000)) * 1e-9)
+            new = [[x, 0.0], [x + d * math.cos(theta), d * math.sin(theta)]]
+        try:  # keep only what makes a valid config
+            PointConfig(points + new)
+            points += new
+        except ValueError:
+            pass
+    m = len(points[:4])
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs \
+        else []
+    return g, PointConfig(np.array(points[:4]).reshape(m, 2), edges)
+
+
+# orbit checks its image stack once, with the outcome of building a
+# PointConfig of each image in turn, as it did before
+@settings(derandomize=True, deadline=None)
+@given(_orbit_check_cases())
+@example((dihedral_group(8), PointConfig([[1e150, 1e150], [0.5, 0.0]])))
+@example((dihedral_group(12), PointConfig(_NEAR_PAIR)))
+@example((dihedral_group(12), PointConfig([*_NEAR_PAIR, _HUGE])))
+@example((dihedral_group(12), PointConfig([*_LATE_PAIR, _HUGE])))
+def test_orbit_checks_each_image_as_its_own_config(group_and_config):
+    g, c = group_and_config
+    stack = c.points @ g.matrices.transpose(0, 2, 1)
+    message = None
+    for image in stack:
+        try:
+            PointConfig(image, c.edges)
+        except ValueError as exc:
+            message = str(exc)
+            break
+    if message is not None:
+        with pytest.raises(ValueError) as info:
+            orbit(g, c)
+        assert str(info.value) == message
+        return
+    images = orbit(g, c)
+    ref_images = _reference_orbit(g, c)
+    assert [(im.points.tobytes(), im.edges) for im in images] == \
+        [(im.points.tobytes(), im.edges) for im in ref_images]
+    assert all(not im.points.flags.writeable for im in images)
+
+
+def test_orbit_reports_the_first_image_that_fails():
+    # the examples above: a near pair fails under r30, unless an image
+    # before the one where it fails leaves the bound
+    d12 = dihedral_group(12)
+    duplicate = "^configuration contains duplicate points$"
+    with pytest.raises(ValueError, match=duplicate):
+        orbit(d12, PointConfig(_NEAR_PAIR))
+    with pytest.raises(ValueError, match=duplicate):
+        orbit(d12, PointConfig([*_NEAR_PAIR, _HUGE]))
+    with pytest.raises(ValueError, match=duplicate):
+        orbit(d12, PointConfig(_LATE_PAIR))
+    with pytest.raises(ValueError, match="^coordinates must be at most "
+                                         r"1e\+150 in magnitude$"):
+        orbit(d12, PointConfig([*_LATE_PAIR, _HUGE]))
+
+
+# a stack of one point set gets PointConfig's messages, and a stack of
+# several the message of its first bad set
+@pytest.mark.parametrize("points, message", [
+    ([[math.nan, 0.0], [0.3, 0.1]],
+     r"^points \[0\] have non-finite coordinates: \[\[nan, 0\.0\]\]$"),
+    ([[0.0, 1.0], [0.5, math.inf], [-math.inf, 2.0]],
+     r"^points \[1, 2\] have non-finite coordinates: "
+     r"\[\[0\.5, inf\], \[-inf, 2\.0\]\]$"),
+    ([[0.0, 1e150], [-1e150, 0.0]], None),
+    ([[0.0, 1.0000000000000002e150]],
+     r"^coordinates must be at most 1e\+150 in magnitude$"),
+    ([[0.5, 0.5], [0.0, 0.0], [0.5, 0.5 + 0.9e-10]],
+     r"^configuration contains duplicate points$"),
+    ([[0.0, 0.0], [MATCH_TOL, 0.0]],  # exactly MATCH_TOL apart
+     r"^configuration contains duplicate points$"),
+    ([[0.5, 0.5], [0.0, 0.0], [0.5, 0.5 + 1.0000001e-10]], None),
+], ids=["nan", "inf", "at-bound", "past-bound", "duplicate", "at-tol",
+        "distinct"])
+def test_point_checks_give_the_config_messages(points, message):
+    pts = np.array(points)
+    if message is None:
+        assert PointConfig(pts).points.tobytes() == pts.tobytes()
+        assert symmetry._check_points(pts[None]) is not None
+        return
+    with pytest.raises(ValueError, match=message):
+        PointConfig(pts)
+    with pytest.raises(ValueError, match=message):
+        symmetry._check_points(pts[None])
+    # behind a valid set, and ahead of a set that fails another check
+    other = np.full_like(pts, math.nan) if "duplicate" in message else \
+        np.zeros_like(pts)
+    with pytest.raises(ValueError, match=message):
+        symmetry._check_points(np.array([np.arange(
+            pts.size, dtype=float).reshape(pts.shape), pts, other]))
+
+
 def test_generic_point_has_full_orbit():
     d4 = dihedral_group(4)
     c = PointConfig(np.array([[0.3, 0.7]]))
@@ -644,6 +833,17 @@ def test_stabilizer_takes_rows_of_its_group():
     assert stab.labels == ("r0", "m0")
     assert stab.matrices.tobytes() == g.matrices[[0, 4]].tobytes()
     assert not stab.matrices.flags.writeable
+
+
+def test_solutions_with_one_stabilizer_share_its_group():
+    # the sign flip fixes 0 and moves every other root: -1 and 1 share {e},
+    # a read-only group
+    left, zero, right = (PointConfig([[x]]) for x in (-1.0, 0.0, 1.0))
+    verdict = classify_ssb(sign_flip_group(), [left, zero, right])
+    assert [w.labels for w in verdict.witnesses] == [("e",), ("e", "flip"),
+                                                     ("e",)]
+    assert verdict.witnesses[0] is verdict.witnesses[2]
+    assert not verdict.witnesses[0].matrices.flags.writeable
 
 
 def test_is_invariant_dim_mismatch_raises():

@@ -12,13 +12,18 @@ over them: one untimed warm-up pass, then the fastest of REPEATS timed
 passes, as other load on the machine only adds time.  The report gives, per layer, the
 median and quartiles of the rounds' microseconds per call on each side and
 the change/parent ratio of the medians, next to work counters taken in an
-untimed pass: evaluations of ``Polynomial.__call__`` per call, and the
-images matched and match tensors built per call.
+untimed pass: evaluations of ``Polynomial.__call__`` per call, the points
+``symmetry._check_points`` validates per call, and the images matched and
+match tensors built per call.
 
 The inputs are those of the ``verdict_sweep`` workload of perfbench at
 seed SEED, taken from ``perfbench/workloads.py`` of the tree that runs this
 file: its even polynomials, and its dihedral groups with the points they act
-on.
+on.  ``point_config`` builds a ``PointConfig`` of each group input's points
+and of each root of the polynomials, one point on the line; ``sign_flip``
+is the polynomial operation's symmetry half, which builds those one-point
+configs from one polynomial's roots and classifies them under the sign
+flip.
 
 The cold layers are fresh interpreters, timed from start to exit (a call
 is one run), one run of each per round, pinned to that CPU and in the same
@@ -46,8 +51,8 @@ import time
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-LAYERS = ("real_roots", "critical_points", "dihedral_group", "stabilizer",
-          "orbit", "classify_ssb")
+LAYERS = ("real_roots", "critical_points", "dihedral_group", "point_config",
+          "stabilizer", "orbit", "classify_ssb", "sign_flip")
 ROUNDS = 10     # fresh subprocesses per side
 SEED = 1        # of the verdict_sweep inputs
 REPEATS = 5     # timed passes over the inputs per layer
@@ -78,30 +83,41 @@ else:
 """
 
 
-def _inputs(n: int | None) -> tuple[list, list]:
+def _inputs(n: int | None) -> tuple[list, list, float]:
     """The first n (all, for None) polynomial coefficient lists and
-    (k, points) group inputs of verdict_sweep at SEED."""
+    (k, points) group inputs of verdict_sweep at SEED, and the tolerance
+    it classifies roots under the sign flip with."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-    from workloads import VerdictSweep
+    from workloads import SIGN_FLIP_TOL, VerdictSweep
     inputs = VerdictSweep().make_inputs(SEED)
     polys = [inp[1] for inp in inputs if inp[0] == "poly"]
     groups = [(inp[1], inp[2]) for inp in inputs if inp[0] == "group"]
-    return polys[:n], groups[:n]
+    return polys[:n], groups[:n], SIGN_FLIP_TOL
 
 
 def _calls(n: int | None) -> dict:
     """Per layer, the list of zero-argument calls that make up one pass."""
     from ssb_lab import scalar as sc
     from ssb_lab import symmetry as sym
-    polys, group_inputs = _inputs(n)
+    polys, group_inputs, sign_flip_tol = _inputs(n)
     ps = [sc.Polynomial(tuple(c)) for c in polys]
     brackets = [(-b, b) for b in (p.cauchy_root_bound() + 1.0 for p in ps)]
+    roots = [[r.location for r in sc.real_roots(p, b)]
+             for p, b in zip(ps, brackets)]
     groups = [sym.dihedral_group(k) for k, _ in group_inputs]
     configs = [sym.PointConfig(np.array(pts)) for _, pts in group_inputs]
     orbits = [sym.orbit(g, c) for g, c in zip(groups, configs)]
+    # each group input's points, then each root as a point on the line
+    point_sets = ([pts for _, pts in group_inputs]
+                  + [[[x]] for xs in roots for x in xs])
 
     def bind(f, *args):
         return lambda: f(*args)
+
+    def sign_flip(xs):
+        return sym.classify_ssb(
+            sym.sign_flip_group(),
+            [sym.PointConfig(np.array([[x]])) for x in xs], tol=sign_flip_tol)
 
     return {
         "real_roots": [bind(sc.real_roots, p, b)
@@ -109,25 +125,36 @@ def _calls(n: int | None) -> dict:
         "critical_points": [bind(sc.critical_points, p) for p in ps],
         "dihedral_group": [bind(sym.dihedral_group, k)
                            for k, _ in group_inputs],
+        "point_config": [bind(sym.PointConfig, np.array(pts))
+                         for pts in point_sets],
         "stabilizer": [bind(sym.stabilizer, g, c)
                        for g, c in zip(groups, configs)],
         "orbit": [bind(sym.orbit, g, c) for g, c in zip(groups, configs)],
         "classify_ssb": [bind(sym.classify_ssb, g, images)
                          for g, images in zip(groups, orbits)],
+        "sign_flip": [bind(sign_flip, xs) for xs in roots],
     }
 
 
 def _counters(calls: list) -> dict:
-    """Work per call of one pass: Polynomial evaluations, and the images
-    matched and match tensors built by ``symmetry._match_points``."""
+    """Work per call of one pass: Polynomial evaluations, the points
+    validated by ``symmetry._check_points`` (a tree without it counts none),
+    and the images matched and match tensors built by
+    ``symmetry._match_points``."""
     from ssb_lab import scalar as sc
     from ssb_lab import symmetry as sym
-    counts = {"evaluations": 0, "matched_images": 0, "match_tensors": 0}
+    counts = {"evaluations": 0, "validated_points": 0, "matched_images": 0,
+              "match_tensors": 0}
     horner, match = sc.Polynomial.__call__, sym._match_points
+    check = getattr(sym, "_check_points", None)
 
     def evaluate(self, x):
         counts["evaluations"] += 1
         return horner(self, x)
+
+    def validated(stack):
+        counts["validated_points"] += math.prod(stack.shape[:-1])
+        return check(stack)
 
     def matched(src, *args, **kwargs):
         counts["matched_images"] += math.prod(src.shape[:-2])
@@ -135,11 +162,15 @@ def _counters(calls: list) -> dict:
         return match(src, *args, **kwargs)
 
     sc.Polynomial.__call__, sym._match_points = evaluate, matched
+    if check is not None:
+        sym._check_points = validated
     try:
         for call in calls:
             call()
     finally:
         sc.Polynomial.__call__, sym._match_points = horner, match
+        if check is not None:
+            sym._check_points = check
     return {name: value / len(calls) for name, value in counts.items()
             if value}
 
@@ -261,8 +292,9 @@ def format_report(report: dict) -> str:
                 continue
             r = row[side]
             counters = ", ".join(f"{k} {r[k]:g}" for k in
-                                 ("evaluations", "matched_images",
-                                  "match_tensors", "files_run") if k in r)
+                                 ("evaluations", "validated_points",
+                                  "matched_images", "match_tensors",
+                                  "files_run") if k in r)
             lines.append(f"{layer:16} {side:7} {r['q1']:9.1f} "
                          f"{r['median']:9.1f} {r['q3']:9.1f}  {counters}")
         if "ratio" in row:
