@@ -136,10 +136,14 @@ def _d4() -> sym.FiniteGroup:
 
 
 @functools.cache
-def _square_networks(side: float) -> tuple[tuple, tuple]:
-    """Every topology's network on the square, and the shortest ones."""
+def _square_networks(side: float) -> tuple[tuple, tuple, sym.SSBVerdict]:
+    """Every topology's network on the square, the shortest ones, and their
+    classification under D4, whose witnesses are their stabilizers."""
     nets = st.optimize_all(st.square_terminals(side))
-    return tuple(nets), tuple(st.select_minima(nets))
+    winners = tuple(st.select_minima(nets))
+    verdict = sym.classify_ssb(_d4(), [w.config() for w in winners],
+                               tol=st.NETWORK_MATCH_TOL)
+    return tuple(nets), winners, verdict
 
 
 @functools.cache
@@ -161,7 +165,7 @@ def _run_steiner(cfg: dict[str, Any], run: _Run) -> None:
         nets = st.optimize_all(cfg["terminals"])
         winners = st.select_minima(nets)
     else:
-        nets, winners = _square_networks(float(cfg["side"]))
+        nets, winners, verdict = _square_networks(float(cfg["side"]))
     best = min(net.total_length for net in nets)
 
     for i, net in enumerate(winners, start=1):
@@ -188,7 +192,7 @@ def _run_steiner(cfg: dict[str, Any], run: _Run) -> None:
     else:
         run.check("steiner.x_guess_found", "steiner.square.diagonal_cross",
                   False, True)
-    orders = sorted(st.residual_symmetry(w, _d4()).order for w in winners)
+    orders = sorted(w.order for w in verdict.witnesses)
     run.check("steiner.stabilizer_orders",
               "steiner.square.residual_symmetry", orders, [4, 4])
     if len(winners) == 2:
@@ -452,9 +456,7 @@ def _plot_radii(n: int, mu: float) -> list[float]:
 
 
 def _run_classify(cfg: dict[str, Any], run: _Run) -> None:
-    winners = _square_networks(1.0)[1]
-    verdict = sym.classify_ssb(_d4(), [w.config() for w in winners],
-                               tol=st.NETWORK_MATCH_TOL)
+    verdict = _square_networks(1.0)[2]
     run.check("classify.steiner_square", "classify.square_networks",
               verdict.kind.value, sym.SSBKind.NARROW.value)
     run.check("classify.steiner_square_witnesses", "classify.square_networks",

@@ -42,11 +42,12 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from .symmetry import FiniteGroup, PointConfig, config_equal, stabilizer
+from .symmetry import PointConfig, config_equal
 
 _ZERO_EDGE_TOL = 1e-14
 # two networks, or a network and its image, match when their points do to
-# within this (select_minima's deduplication, residual_symmetry)
+# within this (select_minima's deduplication; the square's networks are
+# classified under D4, and turned a quarter, at it)
 NETWORK_MATCH_TOL = 1e-8
 # a junction closer than this to another vertex counts as sitting on it; it
 # is larger than symmetry.MATCH_TOL, below which points count as duplicates
@@ -184,14 +185,6 @@ class SteinerNetwork:
                            _total_length(self.topology.edges, coords))
         object.__setattr__(self, "fermat_residual",
                            _fermat_residual(self.topology, coords))
-
-    @property
-    def terminals(self) -> np.ndarray:
-        return self.points[:self.topology.n_terminals]
-
-    @property
-    def steiner_points(self) -> np.ndarray:
-        return self.points[self.topology.n_terminals:]
 
     def config(self) -> PointConfig:
         return PointConfig(self.points, self.topology.edges)
@@ -455,11 +448,6 @@ def check_fermat_condition(net: SteinerNetwork) -> FermatCheck:
     return FermatCheck(is_full=is_full,
                        ok=net.fermat_residual <= FERMAT_TOL,
                        max_residual=net.fermat_residual)
-
-
-def residual_symmetry(net: SteinerNetwork, group: FiniteGroup) -> FiniteGroup:
-    """Stabilizer of the embedded network (terminals + junctions + edges)."""
-    return stabilizer(group, net.config(), NETWORK_MATCH_TOL)
 
 
 def square_terminals(side: float = 1.0) -> np.ndarray:

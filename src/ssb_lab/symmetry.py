@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -108,12 +109,6 @@ def rotation2d(theta: float, label: str | None = None) -> OrthoTransform:
     """Counterclockwise rotation of the plane by ``theta`` radians."""
     c, s = np.cos(theta), np.sin(theta)
     return OrthoTransform(np.array([[c, -s], [s, c]]), label=label)
-
-
-def reflection2d(axis_theta: float, label: str | None = None) -> OrthoTransform:
-    """Reflection of the plane across the line at angle ``axis_theta``."""
-    c, s = np.cos(2.0 * axis_theta), np.sin(2.0 * axis_theta)
-    return OrthoTransform(np.array([[c, s], [s, -c]]), label=label)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -210,9 +205,16 @@ def verify_group_axioms(g: FiniteGroup, tol: float = MATCH_TOL) -> GroupCheck:
 
 
 def dihedral_group(k: int) -> FiniteGroup:
-    """Rotations by multiples of 2*pi/k plus k reflections (order 2k): the
-    matrices of rotation2d(2*pi*j/k) and reflection2d(pi*j/k), bit for bit,
-    as twice pi*j/k rounds to 2*pi*j/k exactly."""
+    """Rotations by multiples of 2*pi/k plus k reflections (order 2k).  With
+    t = 2*pi*j/k for j = 0, ..., k - 1, rotation j is [[cos t, -sin t],
+    [sin t, cos t]], the matrix of rotation2d(t), and mirror j, the
+    reflection across the line at angle t/2, is [[cos t, sin t],
+    [sin t, -cos t]].  ``k`` is read with ``operator.index``: ValueError
+    names it unless it is an integer of at least 1."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"k must be an integer, got {k!r}") from None
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     labels = tuple([f"r{360.0 * j / k:g}" for j in range(k)]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 
 import pytest
@@ -143,6 +144,16 @@ def test_command_line_contract(tmp_path):
         man_b.pop("generated_at")
         if man_a != man_b:
             problems.append("manifests differ between reruns")
+        listed = set(man_a["artifacts"])
+        for name in sorted(listed):
+            if (tmp_path / "a" / name).read_bytes() \
+                    != (tmp_path / "b" / name).read_bytes():
+                problems.append(f"{name} differs between reruns")
+        for run in ("a", "b"):
+            if set(os.listdir(tmp_path / run)) != listed | {
+                    "manifest_all.json"}:
+                problems.append(f"run {run} wrote files its manifest does "
+                                "not list, or missed some")
     if main(["maxwell", "--grid", "8", "--out", str(tmp_path / "c")]) != 1:
         problems.append("failing checks did not exit 1")
     if not (tmp_path / "c" / "manifest_maxwell.json").exists():
@@ -153,6 +164,7 @@ def test_command_line_contract(tmp_path):
     except SystemExit as exc:
         if exc.code != 2:
             problems.append(f"usage error exited {exc.code}")
-    _criterion("ssb-lab all finishes under 30s, reruns byte-identically, "
-               "and exit codes follow pass=0 fail=1 usage=2",
+    _criterion("ssb-lab all finishes under 30s, reruns byte-identically "
+               "(manifest apart from generated_at, data files and directory "
+               "listing), and exit codes follow pass=0 fail=1 usage=2",
                not problems, "; ".join(problems))

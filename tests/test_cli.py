@@ -548,18 +548,25 @@ def test_maxwell_walks_each_grid_the_fewest_times(tmp_path, monkeypatch, n):
 
 
 def test_all_computes_each_shared_fixture_once(tmp_path, monkeypatch):
+    # the square's networks are classified once, for the steiner and the
+    # classify checks, and the square itself once; no stabilizer is
+    # computed on its own
     calls = []
     for module, name in ((steiner, "optimize_all"),
                          (symmetry, "dihedral_group"),
+                         (symmetry, "classify_ssb"),
+                         (symmetry, "stabilizer"),
                          (scalar, "z2_verdict")):
-        def counted(*args, _name=name, _function=getattr(module, name)):
+        def counted(*args, _name=name, _function=getattr(module, name),
+                    **kwargs):
             calls.append(_name)
-            return _function(*args)
+            return _function(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
     assert run_subcommand("all", {}, str(tmp_path)).all_passed()
-    assert sorted(calls) == ["dihedral_group", "optimize_all",
-                             "z2_verdict", "z2_verdict", "z2_verdict"]
+    assert sorted(calls) == ["classify_ssb", "classify_ssb", "dihedral_group",
+                             "optimize_all", "z2_verdict", "z2_verdict",
+                             "z2_verdict"]
 
 
 def test_all_solves_each_bundled_sign_flip_problem_once(tmp_path,
@@ -641,21 +648,6 @@ def test_smallest_two_level_grid_runs(tmp_path):
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
-
-def test_reruns_are_identical_modulo_timestamp(tmp_path):
-    dir_a, dir_b = tmp_path / "a", tmp_path / "b"
-    for target in (dir_a, dir_b):
-        assert main(["all", "--out", str(target)]) == 0
-    man_a = _read_manifest(dir_a / "manifest_all.json")
-    man_b = _read_manifest(dir_b / "manifest_all.json")
-    man_a.pop("generated_at")
-    man_b.pop("generated_at")
-    assert man_a == man_b
-    for name in man_a["artifacts"]:
-        assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
-    assert set(os.listdir(dir_a)) == (set(man_a["artifacts"])
-                                      | {"manifest_all.json"})
-
 
 def test_benchmark_trace_hooks_find_their_functions(tmp_path):
     # perfbench's tracer wraps ssb_lab functions by name and its hooks read

@@ -39,14 +39,16 @@ def test_every_layer_is_timed_and_counted_once():
     result.update(cold)
     report = layers.compare({"change": [result], "parent": [result]},
                             {"change": layers.ROOT, "parent": layers.ROOT})
-    lines = report.pop("src_lines")
-    src = pathlib.Path(layers.ROOT) / "src"
-    assert lines == dict.fromkeys(("change", "parent"), sum(
-        len(path.read_text().splitlines()) for path in src.rglob("*.py")))
-    assert all(row["ratio"] == 1.0 for row in report.values())
-    text = layers.format_report({**report, "src_lines": lines})
+    text = layers.format_report(report)
     assert all(layer in text for layer in [*layers.LAYERS, "import_cli"])
-    assert f"src/ lines: parent {lines['parent']}, change " in text
+    for part in ("src", "tests"):  # one counter for both
+        lines = report.pop(f"{part}_lines")
+        assert lines == dict.fromkeys(("change", "parent"), sum(
+            len(path.read_text().splitlines())
+            for path in (pathlib.Path(layers.ROOT) / part).rglob("*.py")))
+        assert lines["change"] > 0
+        assert f"{part}/ lines: parent {lines['parent']}, change " in text
+    assert all(row["ratio"] == 1.0 for row in report.values())
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),

@@ -16,14 +16,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
-from ssb_lab.steiner import (SteinerNetwork, SteinerTopology,
-                             check_fermat_condition, enumerate_topologies,
-                             optimize_all, optimize_topology,
-                             residual_symmetry, select_minima,
+from ssb_lab.steiner import (NETWORK_MATCH_TOL, SteinerNetwork,
+                             SteinerTopology, check_fermat_condition,
+                             enumerate_topologies, optimize_all,
+                             optimize_topology, select_minima,
                              square_terminals, terminal_array)
 from ssb_lab.symmetry import (PointConfig, classify_ssb, config_equal,
-                              dihedral_group, rotation2d, transform_config,
-                              SSBKind)
+                              dihedral_group, rotation2d, stabilizer,
+                              transform_config, SSBKind)
 
 SQRT3 = math.sqrt(3.0)
 Y0 = 0.5 - 1.0 / (2.0 * SQRT3)  # junction offset for the unit square
@@ -124,7 +124,7 @@ def test_square_junction_positions(square_solutions):
     )
     seen = set()
     for net in square_solutions:
-        pts = np.asarray(net.steiner_points)
+        pts = net.points[4:]
         for want in expected_sets:
             ok = all(min(math.hypot(p[0] - w[0], p[1] - w[1])
                          for w in want) < 1e-7 for p in pts)
@@ -149,7 +149,7 @@ def test_square_solutions_are_quarter_turn_partners(square_solutions):
 def test_square_residual_symmetry_order(square_solutions):
     d4 = dihedral_group(4)
     for net in square_solutions:
-        stab = residual_symmetry(net, d4)
+        stab = stabilizer(d4, net.config(), NETWORK_MATCH_TOL)
         assert stab.order == 4
         assert stab.find(rotation2d(math.pi)) is not None
 
@@ -167,7 +167,7 @@ def test_diagonal_pairing_collapses_to_an_x(square_solutions):
     assert len(crosses) == 1
     x_net = crosses[0]
     assert x_net.total_length == pytest.approx(math.sqrt(8.0), abs=1e-12)
-    np.testing.assert_allclose(x_net.steiner_points, [[0.0, 0.0]], atol=1e-9)
+    np.testing.assert_allclose(x_net.points[4:], [[0.0, 0.0]], atol=1e-9)
     assert not check_fermat_condition(x_net).is_full
     # the X is a strict local optimum of its own topology, not global
     assert x_net.total_length > square_solutions[0].total_length + 0.09
@@ -198,7 +198,7 @@ def test_equilateral_triangle_meets_at_the_centroid():
     assert len(nets) == 1
     net = nets[0]
     assert net.total_length == pytest.approx(SQRT3, abs=1e-9)
-    np.testing.assert_allclose(net.steiner_points, [[0.0, 0.0]], atol=1e-8)
+    np.testing.assert_allclose(net.points[3:], [[0.0, 0.0]], atol=1e-8)
     assert check_fermat_condition(net).ok
 
 
@@ -294,7 +294,7 @@ def test_single_topology_optimization_is_deterministic():
     net_a = optimize_topology(topo, terminals)
     net_b = optimize_topology(topo, terminals)
     assert net_a.total_length == net_b.total_length
-    np.testing.assert_array_equal(net_a.steiner_points, net_b.steiner_points)
+    np.testing.assert_array_equal(net_a.points, net_b.points)
 
 
 def test_merged_topologies_are_not_optimized():
@@ -342,7 +342,7 @@ def test_junction_next_to_a_terminal_is_contracted():
     for net in optimize_all(terminals):
         net.config()
         check_fermat_condition(net)
-        for p in net.steiner_points:
+        for p in net.points[net.topology.n_terminals:]:
             assert min(np.linalg.norm(terminals - p, axis=1)) > 1e-9
 
 
@@ -413,9 +413,8 @@ def test_network_facts_are_derived_from_its_points(points):
         assert net.total_length == sum(math.hypot(x2 - x1, y2 - y1)
                                        for x1, y1, x2, y2 in net.segments())
         assert check_fermat_condition(net).max_residual == net.fermat_residual
-        for view, want in ((net.terminals, net.points[:m]),
-                           (net.steiner_points, net.points[m:])):
-            assert view.shape[1] == 2 and np.array_equal(view, want)
+        for view in (net.points[:m], net.points[m:]):
+            assert view.shape[1] == 2
             assert not view.flags.writeable
             with pytest.raises(ValueError):
                 view[0, 0] = 1.0

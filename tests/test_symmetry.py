@@ -17,7 +17,7 @@ from ssb_lab import symmetry
 from ssb_lab.symmetry import (MATCH_TOL, FiniteGroup, OrthoTransform,
                               PointConfig, SSBKind, classify_ssb,
                               config_equal, cyclic_group, dihedral_group,
-                              is_invariant, orbit, reflection2d, rotation2d,
+                              is_invariant, orbit, rotation2d,
                               sign_flip_group, stabilizer, transform_config,
                               verify_group_axioms)
 
@@ -25,6 +25,13 @@ from ssb_lab.symmetry import (MATCH_TOL, FiniteGroup, OrthoTransform,
 # ---------------------------------------------------------------------------
 # transforms
 # ---------------------------------------------------------------------------
+
+def reflection2d(axis_theta, label=None):
+    """Reflection of the plane across the line at angle ``axis_theta``, one
+    matrix at a time: the oracle for the mirrors of ``dihedral_group``."""
+    c, s = np.cos(2.0 * axis_theta), np.sin(2.0 * axis_theta)
+    return OrthoTransform(np.array([[c, s], [s, -c]]), label=label)
+
 
 def test_rotation_matrix_entries():
     r = rotation2d(math.pi / 2.0)
@@ -153,10 +160,9 @@ def test_group_stacks_match_the_per_element_transforms(k):
 @pytest.mark.parametrize("k,error,message", [
     (0, ValueError, "k must be >= 1, got 0"),
     (-3, ValueError, "k must be >= 1, got -3"),
-    (2.5, TypeError, "'float' object cannot be interpreted as an integer"),
-    ("a", TypeError, "'<' not supported between instances of 'str' and 'int'"),
-    (None, TypeError,
-     "'<' not supported between instances of 'NoneType' and 'int'"),
+    (2.5, ValueError, "k must be an integer, got 2.5"),
+    ("a", ValueError, "k must be an integer, got 'a'"),
+    (None, ValueError, "k must be an integer, got None"),
 ])
 @pytest.mark.parametrize("make_group", [dihedral_group, cyclic_group])
 def test_dihedral_and_cyclic_reject_bad_k(make_group, k, error, message):
@@ -380,26 +386,23 @@ def test_stabilizer_of_axis_point():
     assert stab.order == 2  # identity and the x-axis mirror
 
 
-def _reference_match(src, dst):
+def _reference_match(src, dst, src_edges, dst_edges, tol):
     """One pair of point sets at a time, as the group action was computed
-    before it was batched: the greedy map src[i] -> dst[perm[i]] or None."""
+    before it was batched: whether the greedy map src[i] -> dst[perm[i]] is
+    a bijection within ``tol`` that maps ``src_edges`` onto ``dst_edges``."""
     if len(src) == 0:
-        return []
+        return True
     diff = src[:, None, :] - dst[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    perm = np.argmin(dist, axis=1)
-    if not float(np.max(dist[np.arange(len(src)), perm])) <= MATCH_TOL:
-        return None
-    if len(set(perm.tolist())) != len(src):
-        return None
-    return perm.tolist()
+    perm = np.argmin(dist, axis=1).tolist()
+    return (float(np.max(dist[np.arange(len(src)), perm])) <= tol
+            and len(set(perm)) == len(src)
+            and {(min(perm[i], perm[j]), max(perm[i], perm[j]))
+                 for i, j in src_edges} == set(dst_edges))
 
 
 def _reference_equal(a, b):
-    perm = _reference_match(a.points, b.points)
-    return perm is not None and {
-        (min(perm[i], perm[j]), max(perm[i], perm[j])) for i, j in a.edges
-    } == set(b.edges)
+    return _reference_match(a.points, b.points, a.edges, b.edges, MATCH_TOL)
 
 
 def _reference_stabilizer(g, c):
@@ -414,26 +417,6 @@ def _reference_orbit(g, c):
         if not any(_reference_equal(image, seen) for seen in images):
             images.append(image)
     return images
-
-
-def _pair_loop_match(src, dst, src_edges, dst_edges, tol):
-    """_match_points as it was before it checked its rows in arrays: the
-    bijection and edge checks run in Python, once per close row."""
-    diff = src[..., :, None, :] - dst[..., None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=-1))
-    m = dist.shape[-1]
-    if m == 0:
-        return list(range(math.prod(dist.shape[:-2])))
-    perms = dist.argmin(axis=-1).reshape(-1, m)
-    close = dist.min(axis=-1).max(axis=-1) <= tol
-    wanted = set(dst_edges)
-    matched = []
-    for b in np.flatnonzero(close).tolist():
-        p = perms[b].tolist()
-        if len(set(p)) == m and wanted == {
-                (min(p[i], p[j]), max(p[i], p[j])) for i, j in src_edges}:
-            matched.append(b)
-    return matched
 
 
 @st.composite
@@ -474,11 +457,17 @@ def _match_cases(draw):
     return src, dst, tuple(src_edges), tuple(sorted(dst_edges)), tol
 
 
-# the array matcher finds the rows the per-row loop found
+# the array matcher finds the rows that the reference, one pair of an
+# image and its target at a time, finds
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(_match_cases())
 def test_array_matcher_finds_what_the_pair_loop_found(case):
-    assert symmetry._match_points(*case) == _pair_loop_match(*case)
+    src, dst, src_edges, dst_edges, tol = case
+    images = src.reshape(math.prod(src.shape[:-2]), *src.shape[-2:])
+    targets = np.broadcast_to(dst, src.shape).reshape(images.shape)
+    assert symmetry._match_points(*case) == [
+        b for b, pair in enumerate(zip(images, targets))
+        if _reference_match(*pair, src_edges, dst_edges, tol)]
 
 
 @st.composite

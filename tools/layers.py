@@ -33,8 +33,9 @@ inherit the environment, so whether sources are compiled on every start
 depends on PYTHONDONTWRITEBYTECODE there.  Their counter, taken in an
 untimed run with an ``exec`` audit hook, is the number of ``ssb_lab``
 files the interpreter runs.  Each side runs ROUNDS rounds.  Next to the
-timings, the report gives each tree's ``src/`` line count.  Without
-``--against`` the current tree is measured alone.  Nothing here is a gate.
+timings, the report gives each tree's ``src/`` and ``tests/`` line counts.
+Without ``--against`` the current tree is measured alone.  Nothing here is
+a gate.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ LAYERS = ("real_roots", "critical_points", "dihedral_group", "point_config",
 ROUNDS = 10     # fresh subprocesses per side
 SEED = 1        # of the verdict_sweep inputs
 REPEATS = 5     # timed passes over the inputs per layer
+_PARTS = ("src", "tests")  # the folders whose line counts are reported
 # the cold layers, each a python command line; --out TMP is added to the
 # subcommands
 COLD = {"import_cli": ["-c", "import ssb_lab.cli"],
@@ -241,10 +243,11 @@ def cold(tree: str, names=tuple(COLD)) -> dict:
     return out
 
 
-def src_lines(tree: str) -> int:
-    """The number of lines of the Python files under ``tree``'s src/."""
+def line_count(tree: str, part: str) -> int:
+    """The number of lines of the Python files under ``tree``'s ``part``,
+    such as src/ or tests/."""
     total = 0
-    for folder, _, names in os.walk(os.path.join(tree, "src")):
+    for folder, _, names in os.walk(os.path.join(tree, part)):
         for name in names:
             if name.endswith(".py"):
                 with open(os.path.join(folder, name)) as handle:
@@ -259,9 +262,9 @@ def _quartiles(xs: list[float]) -> dict:
 
 def compare(runs: dict[str, list[dict]], sides: dict[str, str]) -> dict:
     """Per layer and side, the quartiles of the rounds' us per call and the
-    first round's counters, and under "src_lines" each side's src/ line
-    count (sides maps each side to its tree); with two sides, the
-    change/parent ratio."""
+    first round's counters, and under "src_lines" and "tests_lines" each
+    side's src/ and tests/ line counts (sides maps each side to its tree);
+    with two sides, the change/parent ratio."""
     report = {}
     for layer in next(iter(runs.values()))[0]:
         row = {}
@@ -273,8 +276,9 @@ def compare(runs: dict[str, list[dict]], sides: dict[str, str]) -> dict:
         if "parent" in row:
             row["ratio"] = row["change"]["median"] / row["parent"]["median"]
         report[layer] = row
-    report["src_lines"] = {side: src_lines(tree)
-                           for side, tree in sides.items()}
+    for part in _PARTS:
+        report[f"{part}_lines"] = {side: line_count(tree, part)
+                                   for side, tree in sides.items()}
     return report
 
 
@@ -282,8 +286,8 @@ def format_report(report: dict) -> str:
     lines = [f"{'layer':16} {'side':7} {'q1':>9} {'median':>9} {'q3':>9}  "
              "counters per call"]
     for layer, row in report.items():
-        if layer == "src_lines":
-            lines.append("src/ lines: " + ", ".join(
+        if layer.endswith("_lines"):
+            lines.append(f"{layer.removesuffix('_lines')}/ lines: " + ", ".join(
                 f"{side} {row[side]}" for side in ("parent", "change")
                 if side in row))
             continue
